@@ -13,6 +13,7 @@
 //	optimize -topo grid:100 -screen 200   # greedy, top-200 surrogate screen
 //	optimize -topo grid:60 -rotate triggered:48,periodic:72 -budget 24
 //	optimize -max-per-zone 2              # fleet cap: ≤2 platforms per class per zone
+//	optimize -store run.store             # warm-start from, and resume into, an evaluation store
 //	optimize -progress                    # live one-line-per-round ticker on stderr
 //	optimize -json -telemetry-json run.telemetry.json   # machine-readable run report
 //	optimize -metrics-listen 127.0.0.1:9090             # /metrics + /debug/pprof during the run
@@ -96,10 +97,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "RNG seed (fixes the whole search)")
 		workers     = fs.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 		asJSON      = fs.Bool("json", false, "emit the full result as JSON")
-		checkpoint  = fs.String("checkpoint", "", "snapshot the search state to this file (crash-safe atomic writes; resumable with -resume)")
-		ckptEvery   = fs.Int("checkpoint-every", 0, "evaluations between checkpoint snapshots (0 = default 32)")
-		resume      = fs.String("resume", "", "restore a -checkpoint file before searching; the deterministic replay reproduces the uninterrupted result byte for byte (missing file = fresh start)")
-		storePath   = fs.String("store", "", "durable evaluation store: append completed measurements here and warm-start re-optimizations from them")
+		storePath   = fs.String("store", "", "durable evaluation store: append completed measurements here and warm-start re-optimizations from them; re-running an interrupted search with the same store resumes it, byte for byte")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of replications traced for the post-search causal explanations in [0,1] (0 = off; see cmd/diversify-trace for the full toolchain)")
 		progress    = fs.Bool("progress", false, "print a live one-line-per-round progress ticker to stderr")
 		telemJSON   = fs.String("telemetry-json", "", "write the JSON run telemetry report to this file")
@@ -108,9 +106,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The progress sink owns all stderr bookkeeping (resume/checkpoint/
-	// store notices, quarantines, the optional live ticker) so stdout
-	// stays machine-clean and the messages are consistent.
+	// The progress sink owns all stderr bookkeeping (store notices,
+	// quarantines, the optional live ticker) so stdout stays
+	// machine-clean and the messages are consistent.
 	sink := telemetry.NewProgress(errw, *progress)
 	var reg *diversify.MetricsRegistry
 	var srvDone func()
@@ -149,8 +147,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		Budget:     *budget, PlatformCost: *platform, NodeCost: *nodeCost,
 		Iterations: *iters, Population: *pop,
 		Reps: *reps, HorizonHours: *horizon, Seed: *seed, Workers: *workers,
-		Checkpoint: *checkpoint, CheckpointEvery: *ckptEvery,
-		Resume: *resume, Store: *storePath, TraceSample: *traceSample,
+		Store: *storePath, TraceSample: *traceSample,
 		ProgressSink: sink, Metrics: reg,
 	})
 	if err != nil {
@@ -165,8 +162,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			return err
 		}
 	}
-	// Stdout must stay byte-identical between clean, checkpointed and
-	// resumed runs: unless a telemetry flag asked for the report, strip
+	// Stdout must stay byte-identical between clean and store-resumed
+	// runs: unless a telemetry flag asked for the report, strip
 	// it from the printed result (the always-attached progress sink would
 	// otherwise embed wall-clock noise in -json output).
 	if !*progress && *telemJSON == "" && *metricsAt == "" {

@@ -199,7 +199,7 @@ type (
 	AttackExplanation = trace.Explanation
 	// ProgressSink receives the structured progress events the runtime
 	// emits while a search runs (run started, round completed, evaluation
-	// batches, checkpoints, quarantines, warm starts, run finished).
+	// batches, quarantines, warm starts, run finished).
 	// Implementations must be safe for concurrent use.
 	ProgressSink = telemetry.Sink
 	// ProgressEvent is one structured progress event; switch on its
@@ -278,19 +278,12 @@ type OptimizeConfig struct {
 	HorizonHours float64
 	Seed         uint64
 	Workers      int
-	// Checkpoint, when set, snapshots the search state to this file
-	// every CheckpointEvery evaluations (default 32) and at the end of
-	// the search — crash-safe via atomic rename, resumable via Resume.
-	Checkpoint      string
-	CheckpointEvery int
-	// Resume restores a previous run's checkpoint before searching; the
-	// deterministic replay makes the final result byte-identical to an
-	// uninterrupted run. A missing file starts fresh (crash-restart
-	// loops); a corrupt or mismatched file is an error.
-	Resume string
 	// Store, when set, attaches the durable evaluation store at this
 	// path: completed measurements are appended crash-safely and re-used
 	// to warm-start re-optimizations under tweaked budgets or objectives.
+	// It is also the crash-recovery state: re-running an interrupted
+	// search with the same Store replays it from the stored measurements,
+	// and the result is byte-identical to an uninterrupted run.
 	Store string
 	// TraceSample, when positive, replays the baseline and winning
 	// candidates after the search with causal trace capture on this
@@ -460,16 +453,13 @@ func OptimizeContext(ctx context.Context, cfg OptimizeConfig) (*OptimizeResult, 
 		Iterations: cfg.Iterations, Population: cfg.Population,
 		TraceSample: cfg.TraceSample,
 	}, opt, optimize.RunOptions{
-		CheckpointPath:  cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery,
-		ResumePath:      cfg.Resume,
-		StorePath:       cfg.Store,
-		Sink:            cfg.ProgressSink,
-		Metrics:         cfg.Metrics,
+		StorePath: cfg.Store,
+		Sink:      cfg.ProgressSink,
+		Metrics:   cfg.Metrics,
 	})
 }
 
 // OptimizeRunStats re-exports the fault-tolerance runtime bookkeeping
-// carried on OptimizeResult.Stats (checkpoint writes, restored and
-// store-served evaluations, wall-clock).
+// carried on OptimizeResult.Stats (store traffic, retries, quarantines,
+// wall-clock).
 type OptimizeRunStats = optimize.RunStats

@@ -8,15 +8,26 @@
 // re-use every measurement whose key matches instead of re-simulating
 // hundreds of replications per candidate.
 //
+// The store is also the optimizer's crash-recovery state: every search is
+// a deterministic function of its problem and seed, so re-running an
+// interrupted command against the same store replays the search with
+// each pre-crash evaluation served from disk, and the result is
+// byte-identical to an uninterrupted run.
+//
 // The file layout is a header followed by self-checking records:
 //
 //	"DIVEVST1" | record*        record = len u32 | payload | crc32 u32
 //
+// A payload is a key followed by its measurements, or the key alone: a
+// quarantine tombstone for a candidate whose evaluation panicked
+// repeatedly, so a re-run does not replay the panics.
+//
 // Appends are atomic at the record level: a crash mid-append leaves a
 // torn tail record, which Open detects (length or CRC mismatch) and
-// truncates away — everything before the tear survives. No compaction,
-// no index file, no dependencies: the whole store replays into a map on
-// Open.
+// truncates away — everything before the tear survives. Every syncEvery
+// appends are fsynced, bounding what a power loss can take. No
+// compaction, no index file, no dependencies: the whole store replays
+// into memory on Open.
 package evalstore
 
 import (
@@ -57,8 +68,16 @@ type Key struct {
 	Spec uint64
 }
 
-// payloadSize is the fixed record payload: 3 key words + measurements.
-const payloadSize = 3*8 + NumMeasurements*8
+// keySize is a tombstone payload (the 3 key words alone); payloadSize
+// is a measurement payload: the key words + measurements.
+const (
+	keySize     = 3 * 8
+	payloadSize = keySize + NumMeasurements*8
+)
+
+// syncEvery is the group-commit cadence: Put and Quarantine fsync the
+// file after every syncEvery-th append (Close syncs the rest).
+const syncEvery = 32
 
 // Store is an open durable evaluation store. Safe for concurrent use.
 type Store struct {
@@ -67,6 +86,8 @@ type Store struct {
 	path      string
 	f         *os.File             //diversify:guardedby mu
 	mem       map[Key]Measurements //diversify:guardedby mu
+	quar      map[Key]bool         //diversify:guardedby mu
+	appends   int                  //diversify:guardedby mu
 	recovered int                  //diversify:guardedby mu
 }
 
@@ -80,7 +101,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{f: f, path: path, mem: map[Key]Measurements{}}
+	st := &Store{f: f, path: path, mem: map[Key]Measurements{}, quar: map[Key]bool{}}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -112,8 +133,11 @@ func Open(path string) (*Store, error) {
 		if n == 0 {
 			break
 		}
-		key, m := rec.key, rec.m
-		st.mem[key] = m
+		if rec.quarantined {
+			st.quar[rec.key] = true
+		} else {
+			st.mem[rec.key] = rec.m
+		}
 		off += n
 		good += int64(n)
 	}
@@ -133,8 +157,9 @@ func Open(path string) (*Store, error) {
 
 // record is one decoded store entry.
 type record struct {
-	key Key
-	m   Measurements
+	key         Key
+	m           Measurements
+	quarantined bool
 }
 
 // decodeRecord parses one length-prefixed record from b, returning the
@@ -147,8 +172,9 @@ func decodeRecord(b []byte) (record, int) {
 	le := binary.LittleEndian
 	n := int(le.Uint32(b))
 	// Future format versions may grow the payload; anything shorter than
-	// the current payload, or absurdly long, is a tear.
-	if n < payloadSize || n > 1<<20 || len(b) < 4+n+4 {
+	// the current payload other than a tombstone, or absurdly long, is a
+	// tear.
+	if (n < payloadSize && n != keySize) || n > 1<<20 || len(b) < 4+n+4 {
 		return rec, 0
 	}
 	payload := b[4 : 4+n]
@@ -158,6 +184,10 @@ func decodeRecord(b []byte) (record, int) {
 	rec.key.Topo = le.Uint64(payload[0:])
 	rec.key.Cand = le.Uint64(payload[8:])
 	rec.key.Spec = le.Uint64(payload[16:])
+	if n == keySize {
+		rec.quarantined = true
+		return rec, 4 + n + 4
+	}
 	for i := 0; i < NumMeasurements; i++ {
 		rec.m[i] = math.Float64frombits(le.Uint64(payload[24+8*i:]))
 	}
@@ -172,17 +202,33 @@ func (s *Store) Get(key Key) (Measurements, bool) {
 	return m, ok
 }
 
-// Put appends one completed evaluation. Re-putting an existing key is a
-// cheap no-op (the measurement is a pure function of the key).
-func (s *Store) Put(key Key, m Measurements) error {
+// Quarantined reports whether key holds a quarantine tombstone.
+func (s *Store) Quarantined(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.mem[key]; ok {
+	return s.quar[key]
+}
+
+// Put appends one completed evaluation. Re-putting an existing key is a
+// cheap no-op (the measurement is a pure function of the key).
+func (s *Store) Put(key Key, m Measurements) error { return s.add(key, m[:]) }
+
+// Quarantine appends a tombstone for a candidate whose evaluation
+// panicked repeatedly. Re-quarantining a key is a no-op.
+func (s *Store) Quarantine(key Key) error { return s.add(key, nil) }
+
+// add appends one record — key plus measurements, or the key alone
+// (m == nil) for a tombstone — and fsyncs after every syncEvery-th
+// append.
+func (s *Store) add(key Key, m []float64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.mem[key]; (ok && m != nil) || (s.quar[key] && m == nil) {
 		return nil
 	}
 	le := binary.LittleEndian
 	buf := make([]byte, 0, 4+payloadSize+4)
-	buf = le.AppendUint32(buf, payloadSize)
+	buf = le.AppendUint32(buf, uint32(keySize+8*len(m)))
 	buf = le.AppendUint64(buf, key.Topo)
 	buf = le.AppendUint64(buf, key.Cand)
 	buf = le.AppendUint64(buf, key.Spec)
@@ -193,15 +239,24 @@ func (s *Store) Put(key Key, m Measurements) error {
 	if _, err := s.f.Write(buf); err != nil {
 		return err
 	}
-	s.mem[key] = m
+	if m != nil {
+		s.mem[key] = Measurements(m)
+	} else {
+		s.quar[key] = true
+	}
+	s.appends++
+	if s.appends%syncEvery == 0 {
+		return s.f.Sync()
+	}
 	return nil
 }
 
-// Len reports how many distinct evaluations the store holds.
+// Len reports how many distinct evaluations the store holds, quarantine
+// tombstones included.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	return len(s.mem) + len(s.quar)
 }
 
 // Path reports the file path the store was opened at.

@@ -139,6 +139,71 @@ func TestCorruptRecordTruncatesFromThere(t *testing.T) {
 	}
 }
 
+// A quarantine tombstone survives reopening, is distinct from a
+// measurement (Get misses it) and is written once however often the
+// candidate is quarantined.
+func TestQuarantineTombstoneAcrossReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "evals.store")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(testKey(0), testMeas(0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Quarantine(testKey(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Len() != 2 || st2.Recovered() != 0 {
+		t.Fatalf("reopen: Len = %d (want 2), Recovered = %d (want 0)", st2.Len(), st2.Recovered())
+	}
+	if !st2.Quarantined(testKey(1)) || st2.Quarantined(testKey(0)) {
+		t.Fatal("tombstone not replayed for exactly the quarantined key")
+	}
+	if _, ok := st2.Get(testKey(1)); ok {
+		t.Fatal("Get served measurements for a quarantined key")
+	}
+	if m, ok := st2.Get(testKey(0)); !ok || m != testMeas(0) {
+		t.Fatalf("measurement beside the tombstone: got %v ok=%v", m, ok)
+	}
+}
+
+// A store written before quarantine tombstones existed still opens with
+// every record intact: testdata/divevst1.store holds testKey(0..2).
+func TestOpensPreTombstoneStore(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "divevst1.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.store")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 3 || st.Recovered() != 0 {
+		t.Fatalf("Len = %d (want 3), Recovered = %d (want 0)", st.Len(), st.Recovered())
+	}
+	for i := uint64(0); i < 3; i++ {
+		if m, ok := st.Get(testKey(i)); !ok || m != testMeas(i) {
+			t.Fatalf("key %d: got %v ok=%v, want %v", i, m, ok, testMeas(i))
+		}
+	}
+}
+
 // A file that is not an evalstore must be refused, not truncated to
 // nothing — silently destroying a foreign file would be data loss.
 func TestForeignFileRefused(t *testing.T) {
@@ -168,6 +233,9 @@ func FuzzOpen(f *testing.F) {
 		if err := st.Put(testKey(i), testMeas(i)); err != nil {
 			f.Fatal(err)
 		}
+	}
+	if err := st.Quarantine(testKey(3)); err != nil {
+		f.Fatal(err)
 	}
 	st.Close()
 	valid, err := os.ReadFile(seedPath)

@@ -9,7 +9,7 @@ import (
 
 // detCritical is the set of packages whose outputs feed the
 // common-random-number comparison or the serialized artifacts
-// (checkpoints, run reports, goldens). Nondeterminism anywhere in here
+// (evaluation-store records, run reports, goldens). Nondeterminism anywhere in here
 // breaks the paper's paired-comparison variance reduction or the
 // byte-identity guarantees, so wall-clock reads, global RNG state,
 // scheduler-dependent selects and order-unstable map iteration are all
@@ -109,7 +109,7 @@ func isRandGlobal(obj types.Object) bool {
 // where m is a map, out is declared outside the range statement and no
 // later statement in the same function sorts out. Map iteration order
 // is randomized per run, so the appended order leaks into whatever out
-// becomes — a return value, a serialized checkpoint section — unless a
+// becomes — a return value, a serialized store record — unless a
 // sort restores a canonical order (the Entries()-then-SortFunc pattern
 // in internal/diversity is the blessed shape). Index writes and scalar
 // accumulation inside map ranges are order-insensitive and not flagged.

@@ -7,7 +7,7 @@ import (
 
 // durableScoped: the two packages whose writes decide whether a crashed
 // run is salvageable — the durable evaluation store's append path and
-// the checkpoint snapshot writer.
+// the optimizer that feeds it.
 var durableScoped = map[string]bool{
 	"diversify/internal/optimize":  true,
 	"diversify/internal/evalstore": true,
@@ -15,7 +15,8 @@ var durableScoped = map[string]bool{
 
 // DurableErr is a scoped, stricter errcheck: inside the durability
 // packages, the error result of a durability-critical write (os.Rename,
-// os.WriteFile, (*os.File).Sync and Write, evalstore.Store.Put) must
+// os.WriteFile, (*os.File).Sync and Write, evalstore.Store.Put and
+// Quarantine) must
 // reach a variable — not an ExprStmt, not a blank identifier, not a
 // defer/go that throws the result away. Closing is deliberately out of
 // scope: error-path `f.Close()` after a failed write is idiomatic and
@@ -23,7 +24,7 @@ var durableScoped = map[string]bool{
 var DurableErr = &Analyzer{
 	Name: "durableerr",
 	Doc: "errors from durability-critical writes (rename, sync, store " +
-		"appends, snapshot writes) must not be discarded",
+		"appends) must not be discarded",
 	Directive: "allow-discard",
 	Applies:   func(pkgPath string) bool { return durableScoped[pkgPath] },
 	Run:       runDurableErr,
@@ -87,8 +88,8 @@ func durableCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	switch {
 	case namedFrom(recv.Type(), "os", "File") && (fn.Name() == "Sync" || fn.Name() == "Write"):
 		return "(*os.File)." + fn.Name(), true
-	case namedFrom(recv.Type(), "diversify/internal/evalstore", "Store") && fn.Name() == "Put":
-		return "(*evalstore.Store).Put", true
+	case namedFrom(recv.Type(), "diversify/internal/evalstore", "Store") && (fn.Name() == "Put" || fn.Name() == "Quarantine"):
+		return "(*evalstore.Store)." + fn.Name(), true
 	}
 	return "", false
 }

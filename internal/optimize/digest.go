@@ -3,9 +3,9 @@ package optimize
 import "math"
 
 // digester accumulates an FNV-1a 64-bit hash over mixed-type fields.
-// It is the checkpoint compatibility primitive: two (Problem, strategy)
-// pairs share a digest exactly when a checkpoint taken under one is
-// semantically replayable under the other.
+// It builds the evaluation-spec word of the durable store key (see
+// evalSpecDigest): two problems share a digest exactly when their
+// stored measurements are interchangeable.
 type digester struct{ h uint64 }
 
 func newDigester() *digester { return &digester{h: fnvOffsetBasis} }
@@ -33,60 +33,6 @@ func (d *digester) str(s string) {
 }
 
 func (d *digester) sum() uint64 { return d.h }
-
-// problemDigest hashes everything that determines a run's evaluation
-// stream and search trajectory: topology, exploit catalog, threat
-// profile, base overlay, option space, cost model, budget, objective
-// and axes, rotation schedules, search bounds and the strategy name.
-//
-// Deliberately EXCLUDED: Workers (a checkpoint must resume under any
-// worker count — scores are worker-count invariant by construction) and
-// anything checkpoint-configuration-shaped (checkpoint cadence changes
-// where snapshots land, not what the search computes).
-//
-// The problem must be normalized first, so that a run configured with
-// explicit defaults digests identically to one that relied on them.
-func problemDigest(p *Problem, strategy string) uint64 {
-	d := newDigester()
-	d.str("diversify/optimize/v1")
-	d.str(strategy)
-	d.u64(p.Topo.Fingerprint())
-	d.u64(p.Catalog.Fingerprint())
-	digestProfile(d, p)
-	if p.Base != nil {
-		d.u64(p.Base.Fingerprint())
-	} else {
-		d.u64(0)
-	}
-	d.u64(uint64(len(p.Options)))
-	for _, opt := range p.Options {
-		d.i64(int64(opt.Node))
-		d.i64(int64(opt.Class))
-		d.str(string(opt.Variant))
-	}
-	d.f64(p.Cost.PlatformCost)
-	d.f64(p.Cost.NodeCost)
-	d.f64(p.Budget)
-	d.i64(int64(p.Objective))
-	d.u64(uint64(len(p.Axes)))
-	for _, a := range p.Axes {
-		d.i64(int64(a))
-	}
-	d.i64(int64(p.ScreenTop))
-	d.u64(uint64(len(p.Rotations)))
-	for _, spec := range p.Rotations {
-		d.u64(spec.Fingerprint())
-	}
-	d.i64(int64(p.BaseRotation))
-	d.i64(int64(p.MaxPerZone))
-	d.f64(p.Horizon)
-	d.i64(int64(p.Reps))
-	d.u64(p.Seed)
-	d.i64(int64(p.Iterations))
-	d.i64(int64(p.Population))
-	d.str(string(p.FirewallVariant))
-	return d.sum()
-}
 
 // digestProfile folds the malware profile in. Distributions contribute
 // through their stable String() forms (every rng.Dist implementation

@@ -120,16 +120,12 @@ type Evaluator struct {
 	sink    telemetry.Sink
 	started time.Time
 
-	// ck, when non-nil, snapshots the archive to disk after archive
-	// appends (RunWith wires it; nil for plain runs and for the random
-	// baseline, which is excluded from checkpoints).
-	ck *checkpointer
-
 	// store, when non-nil, is the durable evaluation store: cache misses
 	// consult it before simulating (topoFP/specFP complete the key), and
-	// fresh measurements are appended to it. A store write failure
-	// detaches the store instead of killing the search — durability is
-	// auxiliary, the in-memory run is authoritative.
+	// fresh measurements and quarantine tombstones are appended to it. A
+	// store write failure detaches the store instead of killing the
+	// search — durability is auxiliary, the in-memory run is
+	// authoritative.
 	store          *evalstore.Store
 	topoFP, specFP uint64
 	storeHits      int
@@ -287,7 +283,8 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 	var s Score
 	stored := false
 	if e.store != nil {
-		if m, ok := e.store.Get(e.storeKey(fp)); ok {
+		key := e.storeKey(fp)
+		if m, ok := e.store.Get(key); ok {
 			// Warm start: the measurements are a pure function of the key,
 			// so re-using them is bit-identical to re-simulating. Value and
 			// Cost are recomputed below under THIS run's objective and cost
@@ -295,8 +292,16 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			// re-optimization skip the replications.
 			s = scoreFromMeasurements(m)
 			s.Value = e.value(s)
-			e.storeHits++
 			stored = true
+		} else if e.store.Quarantined(key) {
+			// An earlier run quarantined this candidate: serve the verdict
+			// instead of replaying its panics.
+			e.quarantined++
+			s = Score{Value: quarantineValue, Quarantined: true}
+			stored = true
+		}
+		if stored {
+			e.storeHits++
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
 					Fingerprint: fp, FromStore: true,
@@ -321,17 +326,12 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			// revisits it — instead of killing the whole run.
 			e.quarantined++
 			s = Score{Value: quarantineValue, Quarantined: true}
+			e.persist(fp, s)
 		} else if err != nil {
 			return Score{}, err
 		} else {
 			s.Value = e.value(s)
-			if e.store != nil {
-				if perr := e.store.Put(e.storeKey(fp), measurementsOf(s)); perr != nil {
-					e.store = nil // a broken store must not kill a healthy search
-				} else {
-					e.storePuts++
-				}
-			}
+			e.persist(fp, s)
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
 					Fingerprint: fp, Replications: e.p.Reps,
@@ -349,12 +349,26 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		score:       s,
 		zoneOK:      e.ZoneOK(c.A),
 	})
-	if e.ck != nil {
-		if cerr := e.ck.maybeWrite(e); cerr != nil {
-			return Score{}, cerr
-		}
-	}
 	return s, nil
+}
+
+// persist appends a fresh measurement, or a quarantine tombstone, to the
+// durable store when one is attached.
+func (e *Evaluator) persist(fp uint64, s Score) {
+	if e.store == nil {
+		return
+	}
+	var err error
+	if s.Quarantined {
+		err = e.store.Quarantine(e.storeKey(fp))
+	} else {
+		err = e.store.Put(e.storeKey(fp), measurementsOf(s))
+	}
+	if err != nil {
+		e.store = nil // a broken store must not kill a healthy search
+		return
+	}
+	e.storePuts++
 }
 
 // value maps measurements to the minimized scalar.
@@ -677,7 +691,7 @@ func (e *Evaluator) bestFeasible(budget float64) (Score, Candidate, uint64) {
 
 // noteRound stamps one completed search round: the monotonic Elapsed
 // timestamp goes on the trace step unconditionally (wall time is cheap
-// and the resumed-run trace should say where the time went); the
+// and a store-resumed run's trace should say where the time went); the
 // RoundCompleted event fires only when a sink is attached. Strategies
 // call this right after appending the step, so `step` points into the
 // live trace.

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"slices"
 	"time"
@@ -378,8 +377,9 @@ type TraceStep struct {
 	Accepted bool    `json:"accepted"`
 	// Elapsed is the monotonic time since the evaluator started when the
 	// step completed. Wall time is not deterministic, so it stays outside
-	// the JSON byte-identity surface — a resumed run replays pre-crash
-	// rounds at memo speed and its Elapsed stamps honestly say so.
+	// the JSON byte-identity surface — a store-resumed run replays
+	// pre-crash rounds at store speed and its Elapsed stamps honestly say
+	// so.
 	Elapsed time.Duration `json:"-"`
 }
 
@@ -447,19 +447,23 @@ type Result struct {
 	// candidate, trace prefix and front evaluated before the
 	// interruption, but Random is skipped (zero Score).
 	Degraded string `json:"degraded,omitempty"`
-	// Cache and effort accounting: Evaluations counts simulated
-	// candidates (== CacheMisses), Replications total campaign runs.
+	// Cache and effort accounting. These are logical counts, identical
+	// whether a candidate was simulated or served from the durable store
+	// (a store-resumed run must print the uninterrupted run's numbers):
+	// Evaluations counts the distinct candidates the search scored
+	// (== CacheMisses), Replications is Evaluations × Reps. The random
+	// baseline is not billed. Stats.StoreHits counts the store's serves.
 	CacheHits    int `json:"cache_hits"`
 	CacheMisses  int `json:"cache_misses"`
 	Evaluations  int `json:"evaluations"`
 	Replications int `json:"replications"`
-	// Stats is the fault-tolerance runtime bookkeeping (checkpoint writes,
-	// restored evaluations, wall-clock). Outside the JSON surface so the
-	// byte-identity contract between clean and resumed runs holds.
+	// Stats is the fault-tolerance runtime bookkeeping (store traffic,
+	// retries, quarantines, wall-clock). Outside the JSON surface so the
+	// byte-identity contract between clean and store-resumed runs holds.
 	Stats RunStats `json:"-"`
 	// Telemetry is the run report aggregated from the progress-event
 	// stream: evaluations, cache-hit and warm-start ratios, retries and
-	// quarantines, checkpoint count, per-strategy wall time. Nil — and so
+	// quarantines, per-strategy wall time. Nil — and so
 	// absent from the JSON — unless RunOptions attached a Sink or Metrics
 	// registry; it carries wall times, so it is deliberately outside the
 	// byte-identity surface.
@@ -500,37 +504,26 @@ func ByName(name string) (Optimizer, error) {
 	}
 }
 
-// RunOptions configures the fault-tolerance runtime around a search:
-// periodic checkpointing and checkpoint resume. The zero value disables
-// both (a plain run).
+// RunOptions configures the runtime around a search: the durable
+// evaluation store and telemetry. The zero value disables both (a plain
+// run).
 type RunOptions struct {
-	// CheckpointPath, when set, snapshots the evaluation archive to this
-	// file (atomic tmp+fsync+rename) every CheckpointEvery evaluations
-	// and once more when the search finishes — including when it is
-	// interrupted, so a SIGINT-degraded run leaves a resumable state.
-	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in evaluations (<= 0
-	// selects the default of 32).
-	CheckpointEvery int
-	// ResumePath, when set, restores a previous run's checkpoint before
-	// searching. The search then replays deterministically: restored
-	// evaluations are cache hits, so the final Result is byte-identical
-	// to an uninterrupted run — under any worker count. A missing file
-	// is not an error (the first run of a crash-restart loop); a corrupt
-	// or mismatched file is.
-	ResumePath string
 	// StorePath, when set, attaches the durable evaluation store
 	// (internal/evalstore): cache misses consult it before spending
-	// replications, fresh measurements are appended crash-safely, and a
-	// later re-optimization — same plant and threat, tweaked budget,
-	// objective or strategy — warm-starts from everything already
-	// measured. Created on first use; a torn tail from a crash is
-	// truncated away on open.
+	// replications, and fresh measurements and quarantine verdicts are
+	// appended crash-safely. A later re-optimization — same plant and
+	// threat, tweaked budget, objective or strategy — warm-starts from
+	// everything already measured, and re-running an interrupted search
+	// against the same store resumes it: the deterministic search replays
+	// with every pre-crash evaluation served from disk, so the Result is
+	// byte-identical to an uninterrupted run under any worker count.
+	// Created on first use; a torn tail from a crash is truncated away on
+	// open.
 	StorePath string
 	// Sink, when non-nil, receives the structured progress-event stream:
 	// RunStarted, one RoundCompleted per search round, EvaluationBatch
-	// per simulated candidate, CheckpointWritten, WorkerQuarantined,
-	// StoreWarmStart, RunFinished. Implementations must be safe for
+	// per simulated or store-served candidate, WorkerQuarantined,
+	// StoreWarmStart, ExplanationReady, RunFinished. Implementations must be safe for
 	// concurrent use (quarantine events come from worker goroutines).
 	// Telemetry observes, never steers: the Result is byte-identical
 	// (Telemetry field aside) with or without a sink.
@@ -543,20 +536,11 @@ type RunOptions struct {
 }
 
 // RunStats is the runtime bookkeeping of one RunWith call. It rides on
-// Result outside the JSON surface, so clean, checkpointed and resumed
-// runs stay byte-identical where determinism is asserted.
+// Result outside the JSON surface, so clean and store-resumed runs stay
+// byte-identical where determinism is asserted.
 type RunStats struct {
-	// Resumed reports that ResumePath existed and was restored;
-	// RestoredEvaluations counts the archive records it contributed.
-	Resumed             bool
-	RestoredEvaluations int
-	// Checkpoints counts snapshot writes; CheckpointTime is the total
-	// wall-clock they consumed (the <=5% overhead budget is asserted
-	// against Elapsed).
-	Checkpoints    int
-	CheckpointTime time.Duration
-	// StoreHits / StorePuts count durable evaluation-store traffic
-	// (zero when no store is attached).
+	// StoreHits / StorePuts count durable evaluation-store traffic,
+	// quarantine tombstones included (zero when no store is attached).
 	StoreHits int
 	StorePuts int
 	// Retries counts replication attempts that panicked and were replayed
@@ -595,11 +579,11 @@ func RunContext(ctx context.Context, p Problem, o Optimizer) (*Result, error) {
 	return RunWith(ctx, p, o, RunOptions{})
 }
 
-// RunWith is RunContext with the fault-tolerance runtime attached:
-// periodic crash-safe checkpoints of the evaluation archive, and resume
-// from a previous checkpoint. Resume is replay-based — the restored
-// archive turns every pre-crash evaluation into a cache hit and the
-// deterministic search retraces its trajectory at memo speed — so a
+// RunWith is RunContext with the runtime options attached: the durable
+// evaluation store and telemetry. The store doubles as the crash
+// recovery state. Resume is replay-based — re-running against the store
+// of an interrupted run serves every pre-crash evaluation from disk
+// while the deterministic search retraces its trajectory — so the
 // resumed run's Result is byte-identical to an uninterrupted one,
 // regardless of where the original died or how many workers either run
 // used.
@@ -634,33 +618,6 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 			Reps: p.Reps, Workers: ev.nWorkers,
 		})
 	}
-	var stats RunStats
-	var digest uint64
-	if opts.ResumePath != "" || opts.CheckpointPath != "" {
-		digest = problemDigest(&p, o.Name())
-	}
-	if opts.ResumePath != "" {
-		n, err := restoreCheckpoint(ev, opts.ResumePath, digest)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// First run of a crash-restart loop: nothing to resume yet.
-		case err != nil:
-			return nil, err
-		default:
-			stats.Resumed = true
-			stats.RestoredEvaluations = n
-			if ev.sink != nil {
-				ev.sink.Emit(telemetry.StoreWarmStart{Source: "checkpoint", Path: opts.ResumePath, Evaluations: n})
-			}
-		}
-	}
-	if opts.CheckpointPath != "" {
-		every := opts.CheckpointEvery
-		if every <= 0 {
-			every = defaultCheckpointEvery
-		}
-		ev.ck = &checkpointer{path: opts.CheckpointPath, every: every, digest: digest}
-	}
 	if opts.StorePath != "" {
 		store, err := evalstore.Open(opts.StorePath)
 		if err != nil {
@@ -671,7 +628,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		ev.topoFP = p.Topo.Fingerprint()
 		ev.specFP = evalSpecDigest(&p)
 		if ev.sink != nil {
-			ev.sink.Emit(telemetry.StoreWarmStart{Source: "evalstore", Path: opts.StorePath, Evaluations: store.Len()})
+			ev.sink.Emit(telemetry.StoreWarmStart{Path: opts.StorePath, Evaluations: store.Len()})
 		}
 	}
 	baseline, err := ev.Score(p.baseCand())
@@ -686,18 +643,6 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		}
 		degraded = "search interrupted: " + err.Error()
 	}
-	// Final checkpoint: the complete (or interruption-truncated) search
-	// state, written even for a degraded run so a SIGINT leaves the most
-	// resumable file possible. Detached afterwards — the random baseline
-	// below is a comparison row, not search state.
-	if ev.ck != nil {
-		if err := ev.ck.write(ev); err != nil {
-			return nil, err
-		}
-		stats.Checkpoints = ev.ck.writes
-		stats.CheckpointTime = ev.ck.spent
-		ev.ck = nil
-	}
 	best, bestC, bestFP := ev.bestFeasible(p.Budget)
 	if bestC.A == nil {
 		// The baseline is always archived, so this means even the starting
@@ -710,8 +655,8 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 	// the random baseline's simulation is not billed to the strategy.
 	// The counters are derived logically — misses as distinct evaluated
 	// candidates (cache size), hits as the remaining Score calls — so a
-	// resumed run, whose pre-crash evaluations replay as cache hits,
-	// reports exactly the numbers of the uninterrupted run.
+	// store-resumed run reports exactly the numbers of the uninterrupted
+	// run.
 	misses := len(ev.cache)
 	hits := ev.hits + ev.misses - misses
 	// The random baseline is evaluated outside the archive so "best found
@@ -785,11 +730,13 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		spec := p.Rotations[bestC.Rot]
 		res.BestRotationSpec = &spec
 	}
-	stats.StoreHits = ev.storeHits
-	stats.StorePuts = ev.storePuts
-	stats.Retries = int(ev.retries.Load())
-	stats.Quarantined = ev.quarantined
-	stats.Elapsed = sinceWall(started)
+	stats := RunStats{
+		StoreHits:   ev.storeHits,
+		StorePuts:   ev.storePuts,
+		Retries:     int(ev.retries.Load()),
+		Quarantined: ev.quarantined,
+		Elapsed:     sinceWall(started),
+	}
 	res.Stats = stats
 	if ev.sink != nil {
 		// RunFinished carries the authoritative totals — the same numbers
@@ -805,7 +752,6 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 			Replications: res.Replications,
 			Retries:      stats.Retries,
 			Quarantined:  stats.Quarantined,
-			Checkpoints:  stats.Checkpoints,
 			Degraded:     degraded,
 			Elapsed:      stats.Elapsed,
 		})

@@ -6,86 +6,6 @@ import (
 	"testing"
 )
 
-// benchArchive builds an evaluator holding n archived evaluations
-// without paying for simulation: the records are synthesized from real
-// candidates (distinct option subsets over the tiered topology), so
-// encode/decode benches exercise representative entry counts and
-// variant strings.
-func benchArchive(b *testing.B, n int) *Evaluator {
-	p := benchProblem()
-	p.normalize()
-	if err := p.validate(); err != nil {
-		b.Fatal(err)
-	}
-	ev, err := newEvaluator(&p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		a := p.base()
-		for j := 0; j <= i%len(p.Options); j++ {
-			p.Options[(i+j)%len(p.Options)].Apply(a)
-		}
-		cand := Candidate{A: a, Rot: -1}
-		fp := cand.fingerprint(ev.rotFPs)
-		if _, dup := ev.cache[fp]; dup {
-			continue
-		}
-		s := Score{Value: float64(i), PSuccess: 0.5, MeanTTSF: 100, FinalRatio: 0.2, Cost: float64(i % 30)}
-		ev.cache[fp] = s
-		ev.archive = append(ev.archive, archived{fingerprint: fp, cand: cand, score: s, zoneOK: true})
-	}
-	return ev
-}
-
-// BenchmarkCheckpointWrite measures one checkpoint snapshot — encode,
-// atomic temp write, fsync, rename — the unit of overhead paid every
-// CheckpointEvery evaluations.
-func BenchmarkCheckpointWrite(b *testing.B) {
-	ev := benchArchive(b, 64)
-	ck := &checkpointer{path: filepath.Join(b.TempDir(), "ck"), every: 1, digest: 42}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ck.write(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckpointDecode measures parsing + CRC verification of a
-// snapshot, the fixed cost of -resume before replay begins.
-func BenchmarkCheckpointDecode(b *testing.B) {
-	ev := benchArchive(b, 64)
-	data := encodeCheckpoint(42, ev.archive)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeCheckpoint(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeCheckpointed is BenchmarkOptimizeGreedy with the
-// default checkpoint cadence attached — the two together put a number
-// on the end-to-end overhead of crash safety.
-func BenchmarkOptimizeCheckpointed(b *testing.B) {
-	o, err := ByName("greedy")
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "ck")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunWith(context.Background(), benchProblem(), o, RunOptions{CheckpointPath: path}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOptimizeWarmStore measures a fully warm-started greedy run:
 // every simulation is served from the durable evaluation store, so this
 // bounds the cost of a re-optimization after a knob tweak.

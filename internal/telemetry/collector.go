@@ -17,10 +17,10 @@ type Report struct {
 	Degraded       string  `json:"degraded,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 
-	// Evaluation accounting. Evaluations = simulated candidates (cache
+	// Evaluation accounting. Evaluations = scored candidates (cache
 	// misses); CacheHitRatio = hits / lookups; WarmStartRatio = the
-	// fraction of evaluations served from checkpoint restore or the
-	// durable store instead of fresh simulation.
+	// fraction of evaluations served from the durable store instead of
+	// fresh simulation.
 	Evaluations    int     `json:"evaluations"`
 	CacheHits      int     `json:"cache_hits"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
@@ -30,10 +30,9 @@ type Report struct {
 	WarmStartRatio float64 `json:"warm_start_ratio"`
 	Replications   int     `json:"replications"`
 
-	// Fault tolerance and durability.
+	// Fault tolerance.
 	Retries     int `json:"retries"`
 	Quarantined int `json:"quarantined"`
-	Checkpoints int `json:"checkpoints"`
 
 	// Explanations counts the causal trace reports the run produced
 	// (zero unless TraceSample was set).
@@ -64,7 +63,6 @@ type Collector struct {
 
 	mu          sync.Mutex
 	report      Report        //diversify:guardedby mu
-	restored    int           //diversify:guardedby mu
 	lastElapsed time.Duration //diversify:guardedby mu
 	latSum      float64       //diversify:guardedby mu
 	latMax      float64       //diversify:guardedby mu
@@ -128,12 +126,6 @@ func (c *Collector) Emit(e Event) {
 		if c.reg != nil {
 			c.reg.Counter("diversify_eval_batches_total", "evaluation batches (simulated + store-served)").Inc()
 		}
-	case CheckpointWritten:
-		c.report.Checkpoints++
-		if c.reg != nil {
-			c.reg.Counter("diversify_checkpoints_total", "checkpoint snapshots written").Inc()
-			c.reg.Gauge("diversify_checkpoint_bytes", "size of the last checkpoint snapshot").Set(float64(ev.Bytes))
-		}
 	case WorkerQuarantined:
 		if c.reg != nil {
 			c.reg.Counter("diversify_quarantined_total", "candidates quarantined after repeated panics").Inc()
@@ -143,16 +135,6 @@ func (c *Collector) Emit(e Event) {
 		if c.reg != nil {
 			c.reg.Counter("diversify_explanations_total", "causal explanation reports produced").Inc()
 			c.reg.Gauge("diversify_explanation_records", "records captured by the last explanation replay").Set(float64(ev.Records))
-		}
-	case StoreWarmStart:
-		// Checkpoint restores are whole evaluations back in the archive;
-		// an opened evalstore only announces what COULD be served (its
-		// actually-used hits arrive with RunFinished).
-		if ev.Source == "checkpoint" {
-			c.restored += ev.Evaluations
-			if c.reg != nil {
-				c.reg.Counter("diversify_warm_start_evaluations_total", "evaluations restored from a checkpoint").Add(uint64(ev.Evaluations))
-			}
 		}
 	case RunFinished:
 		c.finished = true
@@ -167,7 +149,6 @@ func (c *Collector) Emit(e Event) {
 		c.report.Replications = ev.Replications
 		c.report.Retries = ev.Retries
 		c.report.Quarantined = ev.Quarantined
-		c.report.Checkpoints = ev.Checkpoints
 		if c.reg != nil {
 			c.reg.Gauge("diversify_run_elapsed_seconds", "run wall time").Set(ev.Elapsed.Seconds())
 			c.reg.Gauge("diversify_best_value", "final best objective value").Set(ev.Best)
@@ -187,9 +168,9 @@ func (c *Collector) Report() *Report {
 	if lookups := r.Evaluations + r.CacheHits; lookups > 0 {
 		r.CacheHitRatio = float64(r.CacheHits) / float64(lookups)
 	}
-	// Warm starts: evaluations that cost no fresh simulation — archive
-	// records restored from a checkpoint plus durable-store serves.
-	r.WarmStarted = c.restored + r.StoreHits
+	// Warm starts: evaluations that cost no fresh simulation — the
+	// durable-store serves.
+	r.WarmStarted = r.StoreHits
 	if r.Evaluations > 0 {
 		ws := r.WarmStarted
 		if ws > r.Evaluations {

@@ -15,20 +15,18 @@ func TestCollectorReport(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCollector(reg)
 	c.Emit(RunStarted{Strategy: "portfolio", Workers: 4, Options: 30})
-	c.Emit(StoreWarmStart{Source: "checkpoint", Path: "run.ckpt", Evaluations: 5})
-	c.Emit(StoreWarmStart{Source: "evalstore", Path: "evals.store", Evaluations: 100})
+	c.Emit(StoreWarmStart{Path: "evals.store", Evaluations: 100})
 	c.Emit(RoundCompleted{Strategy: "greedy", Round: 0, Incumbent: 0.5, Elapsed: 100 * time.Millisecond})
 	c.Emit(RoundCompleted{Strategy: "greedy", Round: 1, Incumbent: 0.4, Elapsed: 250 * time.Millisecond})
 	c.Emit(RoundCompleted{Strategy: "anneal", Round: 0, Incumbent: 0.4, Elapsed: 400 * time.Millisecond})
 	c.Emit(EvaluationBatch{Duration: 10 * time.Millisecond, Replications: 4})
 	c.Emit(EvaluationBatch{Duration: 30 * time.Millisecond, Replications: 4})
 	c.Emit(EvaluationBatch{FromStore: true})
-	c.Emit(CheckpointWritten{Path: "run.ckpt", Bytes: 2048, Duration: time.Millisecond})
 	c.Emit(WorkerQuarantined{Worker: 1, Replication: 3, Attempts: 3, Cause: "boom"})
 	c.Emit(RunFinished{
 		Strategy: "portfolio", Best: 0.4, Evaluations: 40, CacheHits: 60,
-		StoreHits: 3, StorePuts: 37, Replications: 160,
-		Retries: 2, Quarantined: 1, Checkpoints: 1,
+		StoreHits: 10, StorePuts: 30, Replications: 160,
+		Retries: 2, Quarantined: 1,
 		Elapsed: 500 * time.Millisecond,
 	})
 
@@ -49,15 +47,15 @@ func TestCollectorReport(t *testing.T) {
 	if got := []string{"anneal", "greedy"}; r.Strategies()[0] != got[0] || r.Strategies()[1] != got[1] {
 		t.Fatalf("Strategies() = %v", r.Strategies())
 	}
-	// Ratios derive from RunFinished: 60 hits over 100 lookups; 5
-	// checkpoint-restored + 3 store hits over 40 evaluations.
+	// Ratios derive from RunFinished: 60 hits over 100 lookups; 10 store
+	// hits over 40 evaluations.
 	if math.Abs(r.CacheHitRatio-0.6) > 1e-9 {
 		t.Fatalf("cache hit ratio = %v, want 0.6", r.CacheHitRatio)
 	}
-	if r.WarmStarted != 8 || math.Abs(r.WarmStartRatio-0.2) > 1e-9 {
-		t.Fatalf("warm start: %d / %v, want 8 / 0.2", r.WarmStarted, r.WarmStartRatio)
+	if r.WarmStarted != 10 || math.Abs(r.WarmStartRatio-0.25) > 1e-9 {
+		t.Fatalf("warm start: %d / %v, want 10 / 0.25", r.WarmStarted, r.WarmStartRatio)
 	}
-	if r.Retries != 2 || r.Quarantined != 1 || r.Checkpoints != 1 {
+	if r.Retries != 2 || r.Quarantined != 1 {
 		t.Fatalf("fault accounting: %+v", r)
 	}
 	// Latency over the two simulated batches only (store serve excluded).
@@ -81,8 +79,6 @@ func TestCollectorReport(t *testing.T) {
 		`diversify_rounds_total{strategy="greedy"} 2`,
 		`diversify_rounds_total{strategy="anneal"} 1`,
 		"diversify_quarantined_total 1",
-		"diversify_checkpoints_total 1",
-		"diversify_warm_start_evaluations_total 5",
 		"diversify_best_value 0.4",
 		"diversify_eval_batches_total 3",
 		"diversify_eval_latency_seconds_count 2",

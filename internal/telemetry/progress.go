@@ -15,9 +15,9 @@ const defaultTickInterval = 250 * time.Millisecond
 // Progress renders the event stream for humans, one line per event that
 // matters, on the writer (stderr in the CLI). Two tiers:
 //
-//   - notices — warm starts, quarantines, the end-of-run checkpoint and
-//     store summaries — always print; they are the bookkeeping the CLI
-//     used to write ad hoc, now consistent and stdout-clean;
+//   - notices — quarantines and the end-of-run store summary — always
+//     print; they are the bookkeeping the CLI used to write ad hoc, now
+//     consistent and stdout-clean;
 //   - the per-round ticker is opt-in (-progress) and rate-limited:
 //     incumbent improvements always print, steady-state rounds at most
 //     once per interval.
@@ -30,17 +30,15 @@ type Progress struct {
 	now      func() time.Time
 
 	mu        sync.Mutex
-	last      time.Time     //diversify:guardedby mu
-	best      float64       //diversify:guardedby mu
-	haveBest  bool          //diversify:guardedby mu
-	ckptPath  string        //diversify:guardedby mu
-	ckptSpent time.Duration //diversify:guardedby mu
-	storePath string        //diversify:guardedby mu
+	last      time.Time //diversify:guardedby mu
+	best      float64   //diversify:guardedby mu
+	haveBest  bool      //diversify:guardedby mu
+	storePath string    //diversify:guardedby mu
 }
 
 // NewProgress returns a progress printer on w. With ticker false only
 // the always-on notices print — the mode the CLI uses by default so
-// resume/store/quarantine bookkeeping stays visible without -progress.
+// store/quarantine bookkeeping stays visible without -progress.
 func NewProgress(w io.Writer, ticker bool) *Progress {
 	return &Progress{w: w, ticker: ticker, interval: defaultTickInterval, now: time.Now}
 }
@@ -78,26 +76,15 @@ func (p *Progress) Emit(e Event) {
 			line += fmt.Sprintf(" front=%d", ev.FrontSize)
 		}
 		fmt.Fprintf(p.w, "%s t=%s\n", line, ev.Elapsed.Round(time.Millisecond))
-	case CheckpointWritten:
-		p.ckptPath = ev.Path
-		p.ckptSpent += ev.Duration
 	case WorkerQuarantined:
 		fmt.Fprintf(p.w, "optimize: quarantined replication %d after %d attempts (worker %d): %s\n",
 			ev.Replication, ev.Attempts, ev.Worker, ev.Cause)
 	case StoreWarmStart:
-		switch ev.Source {
-		case "checkpoint":
-			fmt.Fprintf(p.w, "optimize: resumed %d evaluations from %s\n", ev.Evaluations, ev.Path)
-		case "evalstore":
-			p.storePath = ev.Path
-			if p.ticker && ev.Evaluations > 0 {
-				fmt.Fprintf(p.w, "optimize: evaluation store %s: %d prior measurements\n", ev.Path, ev.Evaluations)
-			}
+		p.storePath = ev.Path
+		if p.ticker && ev.Evaluations > 0 {
+			fmt.Fprintf(p.w, "optimize: evaluation store %s: %d prior measurements\n", ev.Path, ev.Evaluations)
 		}
 	case RunFinished:
-		if ev.Checkpoints > 0 && p.ckptPath != "" {
-			fmt.Fprintf(p.w, "optimize: %d checkpoint snapshots to %s (%v)\n", ev.Checkpoints, p.ckptPath, p.ckptSpent)
-		}
 		if p.storePath != "" {
 			fmt.Fprintf(p.w, "optimize: evaluation store %s: %d hits, %d new measurements\n", p.storePath, ev.StoreHits, ev.StorePuts)
 		}

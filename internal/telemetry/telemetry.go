@@ -99,18 +99,6 @@ type EvaluationBatch struct {
 // Kind implements Event.
 func (EvaluationBatch) Kind() string { return "evaluation_batch" }
 
-// CheckpointWritten reports one crash-safe snapshot of the evaluation
-// archive.
-type CheckpointWritten struct {
-	Path        string
-	Evaluations int
-	Bytes       int
-	Duration    time.Duration
-}
-
-// Kind implements Event.
-func (CheckpointWritten) Kind() string { return "checkpoint_written" }
-
 // WorkerQuarantined reports a candidate evaluation that panicked
 // repeatedly and was scored infeasible instead of crashing the run. It
 // is emitted from the evaluator worker goroutine that tripped the
@@ -125,12 +113,10 @@ type WorkerQuarantined struct {
 // Kind implements Event.
 func (WorkerQuarantined) Kind() string { return "worker_quarantined" }
 
-// StoreWarmStart reports restorable prior work found at startup: a
-// checkpoint restore (Source "checkpoint") or an opened durable
-// evaluation store (Source "evalstore", Evaluations = measurements
-// already on disk).
+// StoreWarmStart reports an opened durable evaluation store at startup:
+// the prior work a warm-started or resumed run may reuse (Evaluations =
+// measurements and quarantine verdicts already on disk).
 type StoreWarmStart struct {
-	Source      string
 	Path        string
 	Evaluations int
 }
@@ -164,8 +150,10 @@ func (ExplanationReady) Kind() string { return "explanation_ready" }
 type RunFinished struct {
 	Strategy string
 	Best     float64
-	// Evaluations counts simulated candidates (== cache misses);
-	// Replications the total campaign runs billed to the search.
+	// Evaluations counts the distinct candidates the search scored,
+	// simulated or store-served (== cache misses); Replications is
+	// Evaluations × reps. Both are logical counts: a store-resumed run
+	// reports the uninterrupted run's numbers.
 	Evaluations  int
 	CacheHits    int
 	StoreHits    int
@@ -175,7 +163,6 @@ type RunFinished struct {
 	// quarantined candidates.
 	Retries     int
 	Quarantined int
-	Checkpoints int
 	// Degraded is empty for a completed run, else the interruption
 	// reason.
 	Degraded string

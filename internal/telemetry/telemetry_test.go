@@ -11,7 +11,6 @@ func TestEventKinds(t *testing.T) {
 		RunStarted{}:        "run_started",
 		RoundCompleted{}:    "round_completed",
 		EvaluationBatch{}:   "evaluation_batch",
-		CheckpointWritten{}: "checkpoint_written",
 		WorkerQuarantined{}: "worker_quarantined",
 		StoreWarmStart{}:    "store_warm_start",
 		RunFinished{}:       "run_finished",
@@ -78,16 +77,12 @@ func TestProgressNotices(t *testing.T) {
 	var sb strings.Builder
 	p := NewProgress(&sb, false) // notices only, no ticker
 	p.Emit(RunStarted{Strategy: "greedy"})
-	p.Emit(StoreWarmStart{Source: "checkpoint", Path: "run.ckpt", Evaluations: 12})
-	p.Emit(StoreWarmStart{Source: "evalstore", Path: "evals.store", Evaluations: 9})
+	p.Emit(StoreWarmStart{Path: "evals.store", Evaluations: 9})
 	p.Emit(RoundCompleted{Strategy: "greedy", Round: 0, Incumbent: 0.5})
-	p.Emit(CheckpointWritten{Path: "run.ckpt", Bytes: 1024, Duration: time.Millisecond})
 	p.Emit(WorkerQuarantined{Worker: 2, Replication: 7, Attempts: 3, Cause: "boom"})
-	p.Emit(RunFinished{Strategy: "greedy", Checkpoints: 3, StoreHits: 4, StorePuts: 5, Quarantined: 1, Retries: 2})
+	p.Emit(RunFinished{Strategy: "greedy", StoreHits: 4, StorePuts: 5, Quarantined: 1, Retries: 2})
 	out := sb.String()
 	for _, want := range []string{
-		"optimize: resumed 12 evaluations from run.ckpt\n",
-		"optimize: 3 checkpoint snapshots to run.ckpt",
 		"optimize: evaluation store evals.store: 4 hits, 5 new measurements\n",
 		"quarantined replication 7 after 3 attempts (worker 2): boom",
 		"1 candidate(s) quarantined, 2 replication retries",
