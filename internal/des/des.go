@@ -7,9 +7,10 @@
 // monotonically increasing sequence number), which keeps runs exactly
 // reproducible for a given seed.
 //
-// The package also provides Replicate, a parallel replication runner that
-// assigns each replication an independent RNG stream split from a campaign
-// seed, making results independent of the number of worker goroutines.
+// The package also provides Pool, the framework's one Monte-Carlo
+// fan-out: it runs each replication on its own pre-derived RNG stream,
+// making results independent of the number of worker goroutines, and
+// Replicate, its generic front end.
 package des
 
 import (
@@ -17,10 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-
-	"diversify/internal/rng"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop.
@@ -393,65 +390,3 @@ func (s *Sim) Every(period float64, fn func(t float64)) (stop func()) {
 		ev.Cancel()
 	}
 }
-
-// Replicate runs n independent replications of body, spreading them over
-// workers goroutines (workers <= 0 selects GOMAXPROCS). Each replication
-// receives its index and a dedicated RNG stream derived deterministically
-// from seed, so the output slice is identical regardless of the worker
-// count. Results are returned in replication order.
-func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// Derive all streams up front from a single root so assignment to
-	// workers cannot affect the streams.
-	root := rng.New(seed)
-	streams := make([]*rng.Rand, n)
-	for i := range streams {
-		streams[i] = root.Split()
-	}
-	out := make([]T, n)
-	var wg sync.WaitGroup
-	// Replication-level batching: workers claim contiguous index ranges
-	// instead of single replications, amortizing channel traffic while
-	// keeping dynamic load balancing. Each replication still runs its own
-	// pre-derived stream and writes only its own slot, so the output is
-	// identical for every worker count and batch size.
-	batch := n / (workers * replicateBatchFactor)
-	if batch < 1 {
-		batch = 1
-	}
-	next := make(chan [2]int, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for span := range next {
-				for i := span[0]; i < span[1]; i++ {
-					out[i] = body(i, streams[i])
-				}
-			}
-		}()
-	}
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		next <- [2]int{lo, hi}
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-// replicateBatchFactor targets this many dispatches per worker: enough
-// slack for load balancing across uneven replication times, few enough
-// that channel traffic is negligible.
-const replicateBatchFactor = 4

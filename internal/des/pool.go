@@ -1,0 +1,182 @@
+package des
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"diversify/internal/rng"
+)
+
+// Panic-isolation bounds: a replication that panics is retried from a
+// pristine copy of its stream after an escalating backoff (1 ms·2ᵏ);
+// one that panics maxAttempts times in a row fails the run with a
+// *PanicError.
+const (
+	maxAttempts  = 3
+	retryBackoff = time.Millisecond
+)
+
+// batchFactor targets this many batch claims per worker: enough slack
+// for load balancing across uneven replication times, few enough that
+// claim synchronization is negligible.
+const batchFactor = 4
+
+// PanicError reports a replication that panicked on every attempt.
+type PanicError struct {
+	// Rep is the replication index, Worker the worker that ran its last
+	// attempt and Attempts how many attempts panicked.
+	Rep, Worker, Attempts int
+	// Cause is the last recovered panic value.
+	Cause any
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("des: replication %d panicked %d times (worker %d): %v", e.Rep, e.Attempts, e.Worker, e.Cause)
+}
+
+// Pool is the one Monte-Carlo fan-out of the framework: it runs one
+// body call per replication stream across a fixed set of worker
+// goroutines. Workers claim contiguous index batches from a shared
+// cursor, and replication i always starts from a pristine copy of
+// stream i and writes only its own slot, so results are identical for
+// every worker count and batch size.
+type Pool struct {
+	streams []rng.Rand
+	workers int
+	batch   int
+}
+
+// NewPool prepares a pool over the given per-replication streams with
+// the requested worker count (<= 0 selects GOMAXPROCS; never more than
+// one worker per replication).
+func NewPool(streams []rng.Rand, workers int) *Pool {
+	n := len(streams)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, n), 1)
+	return &Pool{streams: streams, workers: workers, batch: max(n/(workers*batchFactor), 1)}
+}
+
+// Workers is the resolved worker count; body's w argument is below it.
+func (p *Pool) Workers() int { return p.workers }
+
+// Run calls body(w, i, r) once for every replication i, on worker w,
+// with r holding a fresh copy of stream i. Workers stop claiming
+// batches once ctx is done or any replication has failed; in-flight
+// replications drain. A panicking body is recovered: onPanic(w) (when
+// non-nil) runs on the worker before it does anything else, so the
+// caller can discard state the panic may have corrupted, and the
+// replication is retried from its pristine stream up to maxAttempts
+// times. Run reports how many attempts were retried and, after all
+// workers have joined, ctx's error if it is done, otherwise the failure
+// (body error or *PanicError) of the lowest failing replication.
+func (p *Pool) Run(ctx context.Context, body func(w, i int, r *rng.Rand) error, onPanic func(w int)) (retries int, err error) {
+	n := len(p.streams)
+	type failure struct {
+		rep int
+		err error
+	}
+	fails := make([]failure, p.workers)
+	tries := make([]int, p.workers)
+	var stop atomic.Bool
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(p.workers)
+	for w := 0; w < p.workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			r := new(rng.Rand)
+			for !stop.Load() && ctx.Err() == nil {
+				hi := int(cursor.Add(int64(p.batch)))
+				lo := hi - p.batch
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(hi, n); i++ {
+					if err := p.runRep(w, i, r, body, onPanic, &tries[w]); err != nil {
+						fails[w] = failure{rep: i, err: err}
+						stop.Store(true)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, t := range tries {
+		retries += t
+	}
+	if err := ctx.Err(); err != nil {
+		return retries, err
+	}
+	first := failure{rep: n}
+	for _, f := range fails {
+		if f.err != nil && f.rep < first.rep {
+			first = f
+		}
+	}
+	return retries, first.err
+}
+
+// runRep runs replication i on worker w, retrying panics.
+func (p *Pool) runRep(w, i int, r *rng.Rand, body func(w, i int, r *rng.Rand) error, onPanic func(w int), retries *int) error {
+	for attempt := 1; ; attempt++ {
+		*r = p.streams[i]
+		cause, err := recovered(w, i, r, body)
+		if cause == nil {
+			return err
+		}
+		if onPanic != nil {
+			onPanic(w)
+		}
+		if attempt == maxAttempts {
+			return &PanicError{Rep: i, Worker: w, Attempts: attempt, Cause: cause}
+		}
+		*retries++
+		time.Sleep(retryBackoff << (attempt - 1))
+	}
+}
+
+// recovered calls body, turning a panic into its recovered value.
+func recovered(w, i int, r *rng.Rand, body func(w, i int, r *rng.Rand) error) (cause any, err error) {
+	defer func() { cause = recover() }()
+	return nil, body(w, i, r)
+}
+
+// Replicate runs n independent replications of body on a Pool with the
+// given worker count (workers <= 0 selects GOMAXPROCS). Replication i
+// receives stream i split in order from a root seeded with seed, so the
+// output slice is identical regardless of the worker count. Results are
+// returned in replication order. A replication that keeps panicking
+// re-panics in the caller's goroutine with its *PanicError.
+func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) T) []T {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]T, n)
+	_, err := NewPool(SplitStreams(seed, n), workers).Run(context.Background(), func(_, i int, r *rng.Rand) error {
+		out[i] = body(i, r)
+		return nil
+	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// SplitStreams derives n replication streams by splitting them in order
+// from a root seeded with seed — the derivation Replicate and
+// malware.Evaluate share.
+func SplitStreams(seed uint64, n int) []rng.Rand {
+	root := rng.New(seed)
+	streams := make([]rng.Rand, n)
+	for i := range streams {
+		streams[i] = *root.Split()
+	}
+	return streams
+}

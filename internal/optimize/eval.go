@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"diversify/internal/des"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
 	"diversify/internal/indicators"
@@ -32,43 +30,22 @@ type archived struct {
 	zoneOK bool
 }
 
-// Panic-isolation bounds: a replication whose campaign panics is retried
-// with the same stream seed (CRN holds) after an escalating backoff; a
-// replication that panics maxRepAttempts times in a row quarantines the
-// whole candidate instead of killing the process or deadlocking the
-// worker pool.
-const (
-	maxRepAttempts  = 3
-	repRetryBackoff = time.Millisecond
-)
-
 // quarantineValue is the objective value assigned to quarantined
 // candidates: finite (so JSON encoding and value comparisons stay
 // well-defined) but worse than any measurable score, so no strategy ever
 // prefers a quarantined candidate.
 const quarantineValue = math.MaxFloat64
 
-// repPanic is one replication's unrecoverable panic: the candidate that
-// triggered it is quarantined.
-type repPanic struct {
-	rep   int
-	cause any
-}
-
-func (p *repPanic) Error() string {
-	return fmt.Sprintf("optimize: evaluation of replication %d panicked %d times: %v", p.rep, maxRepAttempts, p.cause)
-}
-
 // Evaluator turns candidates into Scores by Monte-Carlo campaign
 // simulation. It owns
 //
-//   - a pool of workers, each holding ONE reusable malware.Campaign
+//   - a des.Pool whose workers each hold ONE reusable malware.Campaign
 //     (Reset between replications — construction is paid once per worker,
-//     not once per replication) and one RNG reseeded per replication;
-//   - a fixed vector of per-replication stream seeds, so every candidate
-//     is measured under common random numbers (identical attack luck),
-//     which makes candidate comparisons variance-reduced and the score a
-//     pure function of the candidate;
+//     not once per replication);
+//   - a fixed vector of per-replication streams, so every candidate is
+//     measured under common random numbers (identical attack luck), which
+//     makes candidate comparisons variance-reduced and the score a pure
+//     function of the candidate;
 //   - per-worker rotation engines for every schedule in
 //     Problem.Rotations, built lazily the first time a schedule is
 //     simulated (engine state is per-campaign; sharing one across
@@ -81,18 +58,18 @@ func (p *repPanic) Error() string {
 // Score calls must come from one goroutine (the strategy loop); the
 // internal fan-out across workers is the only concurrency.
 type Evaluator struct {
-	p     *Problem
-	seeds []uint64
+	p       *Problem
+	streams []rng.Rand
+	pool    *des.Pool
 
 	// ctx cancels evaluations: workers stop claiming replication batches
 	// once it is done (in-flight replications drain cleanly) and Score
 	// returns the context error without caching a partial measurement.
 	ctx context.Context
 
-	nWorkers int
-	batch    int
-	camps    []*malware.Campaign
-	rands    []*rng.Rand
+	// camps[w] is worker w's reusable campaign, nil until its first
+	// replication and again after a panic.
+	camps []*malware.Campaign
 
 	// rotFPs[i] digests p.Rotations[i]; rotors[i][w] is worker w's engine
 	// for schedule i (nil column until first use).
@@ -105,12 +82,11 @@ type Evaluator struct {
 	misses  int
 	// quarantined counts candidates scored infeasible after repeated
 	// evaluation panics; retries counts panicked replication attempts
-	// that were replayed (atomic — workers count from their own
-	// goroutines); repHook is the fault-injection seam the robustness
-	// tests use (called once per replication attempt, before the
-	// campaign runs).
+	// that were replayed; repHook is the fault-injection seam the
+	// robustness tests use (called once per replication attempt, before
+	// the campaign runs).
 	quarantined int
-	retries     atomic.Int64
+	retries     int
 	repHook     func(c Candidate, rep int)
 
 	// sink, when non-nil, receives the telemetry event stream; started
@@ -131,85 +107,41 @@ type Evaluator struct {
 	storeHits      int
 	storePuts      int
 
-	// Per-replication result buffers, aggregated sequentially in
+	// meas holds one measurement vector per replication, averaged in
 	// replication order so float accumulation is independent of the
 	// worker count.
-	succBuf  []bool
-	detBuf   []bool
-	ttsfBuf  []float64
-	ratioBuf []float64
-	dwellBuf []float64
-	dcntBuf  []int
-	fhBuf    []float64
-	rotBuf   []int
-	reinfBuf []int
-	rcostBuf []float64
+	meas []evalstore.Measurements
 
 	// zoneBuf is the reusable scratch for MaxPerZone violation scans.
 	zoneBuf []diversity.Entry
-
-	// Trace-capture state, allocated lazily by explain (the search itself
-	// always runs untraced — explanations replay only the candidates worth
-	// explaining under the same CRN streams). tracing gates the runRep
-	// hook; traceSampled[i] fixes WHICH replications capture, up front,
-	// from the same non-advancing stream digests malware.EvaluateTraced
-	// hashes, so the sampled set is a pure function of the seed.
-	tracing      bool
-	traceSampled []bool
-	tracers      []*trace.Tracer
-	traceBuf     []trace.Trace
 }
 
 // newEvaluator prepares the worker pool for a normalized, validated
 // problem.
 func newEvaluator(p *Problem) (*Evaluator, error) {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > p.Reps {
-		w = p.Reps
-	}
+	// Replication i replays the stream seeded with the root's i-th draw
+	// for every candidate.
 	root := rng.New(p.Seed)
-	seeds := make([]uint64, p.Reps)
-	for i := range seeds {
-		seeds[i] = root.Uint64()
+	streams := make([]rng.Rand, p.Reps)
+	for i := range streams {
+		streams[i].Seed(root.Uint64())
 	}
-	// Replication-level batching: a few dispatches per worker amortize
-	// the claim synchronization while keeping load balancing dynamic.
-	batch := p.Reps / (w * 4)
-	if batch < 1 {
-		batch = 1
-	}
+	pool := des.NewPool(streams, p.Workers)
 	ev := &Evaluator{
-		p:        p,
-		ctx:      context.Background(), //diversify:allow-context placeholder until RunContext installs the caller's context; bare Score calls never block on it
-		started:  wallClock(),
-		repHook:  p.repHook,
-		seeds:    seeds,
-		nWorkers: w,
-		batch:    batch,
-		camps:    make([]*malware.Campaign, w),
-		rands:    make([]*rng.Rand, w),
-		rotFPs:   make([]uint64, len(p.Rotations)),
-		rotors:   make([][]*rotation.Engine, len(p.Rotations)),
-		cache:    map[uint64]Score{},
-		succBuf:  make([]bool, p.Reps),
-		detBuf:   make([]bool, p.Reps),
-		ttsfBuf:  make([]float64, p.Reps),
-		ratioBuf: make([]float64, p.Reps),
-		dwellBuf: make([]float64, p.Reps),
-		dcntBuf:  make([]int, p.Reps),
-		fhBuf:    make([]float64, p.Reps),
-		rotBuf:   make([]int, p.Reps),
-		reinfBuf: make([]int, p.Reps),
-		rcostBuf: make([]float64, p.Reps),
+		p:       p,
+		ctx:     context.Background(), //diversify:allow-context placeholder until RunContext installs the caller's context; bare Score calls never block on it
+		started: wallClock(),
+		repHook: p.repHook,
+		streams: streams,
+		pool:    pool,
+		camps:   make([]*malware.Campaign, pool.Workers()),
+		rotFPs:  make([]uint64, len(p.Rotations)),
+		rotors:  make([][]*rotation.Engine, len(p.Rotations)),
+		cache:   map[uint64]Score{},
+		meas:    make([]evalstore.Measurements, p.Reps),
 	}
 	for i, spec := range p.Rotations {
 		ev.rotFPs[i] = spec.Fingerprint()
-	}
-	for i := range ev.rands {
-		ev.rands[i] = rng.New(0) // reseeded before every replication
 	}
 	// Fail fast on an unusable campaign template.
 	probe := malware.Config{
@@ -251,7 +183,7 @@ func (e *Evaluator) ZoneOK(a *diversity.Assignment) bool {
 // building the column on first use.
 func (e *Evaluator) engines(rot int) ([]*rotation.Engine, error) {
 	if e.rotors[rot] == nil {
-		col := make([]*rotation.Engine, e.nWorkers)
+		col := make([]*rotation.Engine, e.pool.Workers())
 		for w := range col {
 			eng, err := rotation.NewEngine(e.p.Rotations[rot], e.p.Topo, e.p.Catalog, e.p.Profile)
 			if err != nil {
@@ -290,8 +222,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			// Cost are recomputed below under THIS run's objective and cost
 			// model — which is what lets a budget- or objective-tweaked
 			// re-optimization skip the replications.
-			s = scoreFromMeasurements(m)
-			s.Value = e.value(s)
+			s = e.scoreFromMeasurements(m)
 			stored = true
 		} else if e.store.Quarantined(key) {
 			// An earlier run quarantined this candidate: serve the verdict
@@ -317,21 +248,20 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		if e.sink != nil {
 			batchStart = wallClock()
 		}
-		var err error
-		s, err = e.simulate(c)
-		var rp *repPanic
-		if errors.As(err, &rp) {
+		m, err := e.simulate(c, nil)
+		var pe *des.PanicError
+		if errors.As(err, &pe) {
 			// The candidate's evaluation panicked repeatedly: quarantine it —
 			// cached as infeasible so the search keeps moving and never
 			// revisits it — instead of killing the whole run.
 			e.quarantined++
 			s = Score{Value: quarantineValue, Quarantined: true}
-			e.persist(fp, s)
+			e.persist(fp, nil)
 		} else if err != nil {
 			return Score{}, err
 		} else {
-			s.Value = e.value(s)
-			e.persist(fp, s)
+			s = e.scoreFromMeasurements(m)
+			e.persist(fp, &m)
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
 					Fingerprint: fp, Replications: e.p.Reps,
@@ -352,17 +282,17 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 	return s, nil
 }
 
-// persist appends a fresh measurement, or a quarantine tombstone, to the
-// durable store when one is attached.
-func (e *Evaluator) persist(fp uint64, s Score) {
+// persist appends a fresh measurement, or a quarantine tombstone when m
+// is nil, to the durable store when one is attached.
+func (e *Evaluator) persist(fp uint64, m *evalstore.Measurements) {
 	if e.store == nil {
 		return
 	}
 	var err error
-	if s.Quarantined {
+	if m == nil {
 		err = e.store.Quarantine(e.storeKey(fp))
 	} else {
-		err = e.store.Put(e.storeKey(fp), measurementsOf(s))
+		err = e.store.Put(e.storeKey(fp), *m)
 	}
 	if err != nil {
 		e.store = nil // a broken store must not kill a healthy search
@@ -379,279 +309,117 @@ func (e *Evaluator) value(s Score) float64 {
 	case MaximizeTTSF:
 		return -s.MeanTTSF
 	case MinimizeFoothold:
-		return s.MeanFoothold
+		return AxisFoothold.of(s)
 	default: // MinimizeSuccess
-		return s.PSuccess + 1e-3*s.FinalRatio
+		return AxisSuccess.of(s)
 	}
 }
 
-// simulate runs the replications for one candidate across the worker
-// pool and aggregates the indicators. It deliberately does not delegate
-// to malware.Evaluate, whose per-call pool and Split-derived streams fit
-// one-shot evaluations: here campaigns persist ACROSS candidates and
-// every candidate replays the same reseeded per-replication streams
-// (common random numbers). A behavioral change in either fan-out should
-// be considered for the other.
-func (e *Evaluator) simulate(c Candidate) (Score, error) {
+// simulate runs the replications for one candidate on the evaluator's
+// pool and returns the mean measurement vector. Campaigns persist
+// ACROSS candidates and every candidate replays the same per-replication
+// streams (common random numbers). A non-nil capt records causal traces
+// of its sampled replications. A replication that panics on every retry
+// fails the candidate with a *des.PanicError.
+func (e *Evaluator) simulate(c Candidate, capt *trace.Capture) (evalstore.Measurements, error) {
 	assignFn := c.A.Func()
 	var engs []*rotation.Engine
 	if c.Rot >= 0 {
 		var err error
 		if engs, err = e.engines(c.Rot); err != nil {
-			return Score{}, err
+			return evalstore.Measurements{}, err
 		}
 	}
-	errs := make([]error, e.nWorkers)
-	panics := make([]*repPanic, e.nWorkers)
-	// poisoned flags a quarantine in progress: the other workers stop
-	// claiming work and drain their in-flight replication instead of
-	// finishing a candidate whose score will be discarded anyway.
-	var poisoned atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(e.nWorkers)
-	for w := 0; w < e.nWorkers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				// Stop claiming work on cancellation (the in-flight
-				// replication drained before we got here) or when a sibling
-				// worker tripped a quarantine.
-				if poisoned.Load() || e.ctx.Err() != nil {
-					return
-				}
-				// Batched dynamic dispatch: replication i always runs stream
-				// seeds[i] and writes only slot i, so which worker claims a
-				// batch cannot matter.
-				hi := int(cursor.Add(int64(e.batch)))
-				lo := hi - e.batch
-				if lo >= e.p.Reps {
-					return
-				}
-				if hi > e.p.Reps {
-					hi = e.p.Reps
-				}
-				for i := lo; i < hi; i++ {
-					if err := e.runRepIsolated(w, i, c, assignFn, engs); err != nil {
-						var rp *repPanic
-						if errors.As(err, &rp) {
-							panics[w] = rp
-							poisoned.Store(true)
-						} else {
-							errs[w] = err
-						}
-						return
-					}
-				}
+	retries, err := e.pool.Run(e.ctx, func(w, i int, r *rng.Rand) error {
+		if e.repHook != nil {
+			e.repHook(c, i)
+		}
+		camp := e.camps[w]
+		if camp == nil {
+			var err error
+			camp, err = malware.NewCampaign(malware.Config{
+				Topo: e.p.Topo, Catalog: e.p.Catalog, Profile: e.p.Profile,
+				Rand: r, Assign: assignFn, FirewallVariant: e.p.FirewallVariant,
+			})
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	// Cancellation wins over partial measurements: the caller gets the
-	// context error, nothing is cached, and the replication buffers are
-	// simply abandoned.
-	if err := e.ctx.Err(); err != nil {
-		return Score{}, err
-	}
-	for _, err := range errs {
+			e.camps[w] = camp
+		} else {
+			camp.Reset(assignFn, r)
+		}
+		if engs != nil {
+			camp.SetRotation(engs[w])
+		} else {
+			camp.SetRotation(nil)
+		}
+		camp.SetTracer(capt.Tracer(w, i))
+		out, err := camp.Run(e.p.Horizon)
 		if err != nil {
-			return Score{}, err
-		}
-	}
-	// Quarantine beats partial measurements: report the lowest-indexed
-	// panicking replication (deterministic when several workers trip).
-	var quar *repPanic
-	for _, rp := range panics {
-		if rp != nil && (quar == nil || rp.rep < quar.rep) {
-			quar = rp
-		}
-	}
-	if quar != nil {
-		return Score{}, quar
-	}
-	// Aggregate in replication order: float accumulation is then
-	// independent of the worker count.
-	var s Score
-	succ, det, dcnt, rot, reinf := 0, 0, 0, 0, 0
-	for i := 0; i < e.p.Reps; i++ {
-		if e.succBuf[i] {
-			succ++
-		}
-		if e.detBuf[i] {
-			det++
-		}
-		dcnt += e.dcntBuf[i]
-		rot += e.rotBuf[i]
-		reinf += e.reinfBuf[i]
-		s.MeanTTSF += e.ttsfBuf[i]
-		s.FinalRatio += e.ratioBuf[i]
-		s.MeanDetLatency += e.dwellBuf[i]
-		s.MeanFoothold += e.fhBuf[i]
-		s.MeanRotationCost += e.rcostBuf[i]
-	}
-	n := float64(e.p.Reps)
-	s.PSuccess = float64(succ) / n
-	s.PDetect = float64(det) / n
-	s.MeanTTSF /= n
-	s.FinalRatio /= n
-	s.MeanDetLatency /= n
-	s.MeanDetections = float64(dcnt) / n
-	s.MeanFoothold /= n
-	s.MeanRotations = float64(rot) / n
-	s.MeanReinfections = float64(reinf) / n
-	s.MeanRotationCost /= n
-	return s, nil
-}
-
-// runRepIsolated runs replication i on worker w with panic isolation:
-// a panicking evaluation tears down the worker's campaign (its state is
-// suspect), reseeds the replication stream and retries after a bounded
-// backoff; maxRepAttempts consecutive panics return a *repPanic that
-// quarantines the candidate. The no-panic path performs exactly the
-// same RNG operations as an unisolated run, so common random numbers —
-// and every seeded golden — are untouched.
-func (e *Evaluator) runRepIsolated(w, i int, c Candidate, assignFn malware.Assignment, engs []*rotation.Engine) error {
-	for attempt := 1; ; attempt++ {
-		err, pan := e.runRep(w, i, c, assignFn, engs)
-		if pan == nil {
 			return err
 		}
-		// The campaign may hold arbitrarily corrupt state mid-panic; drop
-		// it so the retry (and the next candidate) rebuilds from scratch.
-		e.camps[w] = nil
-		if attempt >= maxRepAttempts {
-			// Emitted from the worker goroutine that tripped the quarantine
-			// — sinks are concurrency-safe by contract.
-			if e.sink != nil {
-				e.sink.Emit(telemetry.WorkerQuarantined{
-					Worker: w, Replication: i, Attempts: attempt, Cause: fmt.Sprint(pan),
-				})
-			}
-			return &repPanic{rep: i, cause: pan}
-		}
-		e.retries.Add(1)
-		time.Sleep(repRetryBackoff << (attempt - 1))
-	}
-}
-
-// runRep executes one replication, converting panics into the second
-// return value. The stream is reseeded here so retries replay the exact
-// same attack luck.
-func (e *Evaluator) runRep(w, i int, c Candidate, assignFn malware.Assignment, engs []*rotation.Engine) (err error, pan any) {
-	defer func() {
-		if r := recover(); r != nil {
-			pan = r
-		}
-	}()
-	r := e.rands[w]
-	r.Seed(e.seeds[i])
-	if e.repHook != nil {
-		e.repHook(c, i)
-	}
-	camp := e.camps[w]
-	if camp == nil {
-		camp, err = malware.NewCampaign(malware.Config{
-			Topo: e.p.Topo, Catalog: e.p.Catalog, Profile: e.p.Profile,
-			Rand: r, Assign: assignFn, FirewallVariant: e.p.FirewallVariant,
+		capt.Keep(w, i)
+		e.meas[i] = measure(out)
+		return nil
+	}, func(w int) { e.camps[w] = nil }) // a campaign is suspect mid-panic
+	e.retries += retries
+	var pe *des.PanicError
+	if errors.As(err, &pe) && e.sink != nil {
+		e.sink.Emit(telemetry.WorkerQuarantined{
+			Worker: pe.Worker, Replication: pe.Rep, Attempts: pe.Attempts, Cause: fmt.Sprint(pe.Cause),
 		})
-		if err != nil {
-			return err, nil
-		}
-		e.camps[w] = camp
-	} else {
-		camp.Reset(assignFn, r)
 	}
-	if engs != nil {
-		camp.SetRotation(engs[w])
-	} else {
-		camp.SetRotation(nil)
-	}
-	if e.tracing {
-		if e.traceSampled[i] {
-			tr := e.tracers[w]
-			if tr == nil {
-				tr = trace.NewTracer(explainTraceLimit)
-				e.tracers[w] = tr
-			}
-			tr.Reset()
-			camp.SetTracer(tr)
-		} else {
-			camp.SetTracer(nil)
-		}
-	}
-	out, err := camp.Run(e.p.Horizon)
 	if err != nil {
-		return err, nil
+		return evalstore.Measurements{}, err
 	}
-	if e.tracing && e.traceSampled[i] {
-		tr := e.tracers[w]
-		e.traceBuf[i] = trace.Trace{Rep: i, Dropped: tr.Dropped(), Records: tr.Snapshot()}
+	var mean evalstore.Measurements
+	for i := range e.meas {
+		for k, v := range e.meas[i] {
+			mean[k] += v
+		}
 	}
-	e.succBuf[i] = out.Success
-	e.detBuf[i] = out.Detected
-	if out.Detected {
-		e.ttsfBuf[i] = out.TTSF
-	} else {
-		e.ttsfBuf[i] = out.Horizon
+	for k := range mean {
+		mean[k] /= float64(e.p.Reps)
 	}
-	e.ratioBuf[i] = indicators.RatioAt(out.Compromised, out.Horizon)
-	e.dwellBuf[i] = out.DwellTime()
-	e.dcntBuf[i] = out.Detections
-	e.fhBuf[i] = out.FootholdTime
-	e.rotBuf[i] = out.Rotations
-	e.reinfBuf[i] = out.Reinfections
-	e.rcostBuf[i] = out.RotationCost
-	return nil, nil
+	return mean, nil
 }
 
-// explainTraceLimit caps one replication's captured records during an
-// explanation replay (overflow is reported, never silent — see
-// trace.Trace.Dropped).
-const explainTraceLimit = 8192
+// measure flattens one replication's outcome into the store's
+// measurement order (see scoreFromMeasurements); time-to-security-failure
+// is censored at the horizon for undetected replications.
+func measure(out indicators.Outcome) evalstore.Measurements {
+	ttsf := out.Horizon
+	if out.Detected {
+		ttsf = out.TTSF
+	}
+	return evalstore.Measurements{
+		b2f(out.Success), ttsf, indicators.RatioAt(out.Compromised, out.Horizon),
+		b2f(out.Detected), out.DwellTime(), float64(out.Detections), out.FootholdTime,
+		float64(out.Rotations), float64(out.Reinfections), out.RotationCost,
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // explain re-simulates one candidate with trace capture on the sampled
 // replications and aggregates the captures into an explanation report.
-// The replay reuses the evaluator's worker fan-out and CRN streams, so
-// it reproduces exactly the attack sequences the search scored — and
+// The replay reuses the evaluator's pool and CRN streams, so it
+// reproduces exactly the attack sequences the search scored — and
 // because capture consumes no RNG draw, running it perturbs nothing:
 // scores, goldens and the search trajectory are byte-identical with
 // explanations on or off.
 func (e *Evaluator) explain(label string, c Candidate, sample float64) (trace.Explanation, error) {
-	if e.traceSampled == nil {
-		e.traceSampled = make([]bool, e.p.Reps)
-		probe := rng.New(0)
-		for i, s := range e.seeds {
-			// The same decision malware.EvaluateTraced makes: hash the
-			// replication stream's non-advancing digest, so the sampled set
-			// is a pure function of the per-replication seed.
-			probe.Seed(s)
-			e.traceSampled[i] = trace.Sampled(probe.Digest(), sample)
-		}
-		e.tracers = make([]*trace.Tracer, e.nWorkers)
-		e.traceBuf = make([]trace.Trace, e.p.Reps)
-	}
-	clear(e.traceBuf)
-	e.tracing = true
-	_, err := e.simulate(c)
-	e.tracing = false
-	// Detach the tracers so any later untraced replication on these
-	// campaigns stays untraced.
-	for _, camp := range e.camps {
-		if camp != nil {
-			camp.SetTracer(nil)
-		}
-	}
-	if err != nil {
+	capt := trace.NewCapture(e.streams, sample, e.pool.Workers(), 0)
+	if _, err := e.simulate(c, capt); err != nil {
 		return trace.Explanation{}, err
 	}
-	traces := make([]trace.Trace, 0, len(e.traceBuf))
-	for i := range e.traceBuf {
-		if e.traceSampled[i] {
-			traces = append(traces, e.traceBuf[i])
-		}
-	}
 	nodes := e.p.Topo.Nodes()
-	return trace.Explain(traces, trace.ExplainOpts{
+	return trace.Explain(capt.Traces(), trace.ExplainOpts{
 		Candidate:    label,
 		Rotation:     e.p.rotName(c.Rot),
 		Replications: e.p.Reps,

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"time"
 
+	"diversify/internal/des"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
 	"diversify/internal/exploits"
@@ -524,7 +525,7 @@ type RunOptions struct {
 	// RunStarted, one RoundCompleted per search round, EvaluationBatch
 	// per simulated or store-served candidate, WorkerQuarantined,
 	// StoreWarmStart, ExplanationReady, RunFinished. Implementations must be safe for
-	// concurrent use (quarantine events come from worker goroutines).
+	// concurrent use.
 	// Telemetry observes, never steers: the Result is byte-identical
 	// (Telemetry field aside) with or without a sink.
 	Sink telemetry.Sink
@@ -615,7 +616,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		ev.sink.Emit(telemetry.RunStarted{
 			Strategy: o.Name(), Objective: p.Objective.String(), Budget: p.Budget,
 			Options: len(p.Options), Rotations: len(p.Rotations),
-			Reps: p.Reps, Workers: ev.nWorkers,
+			Reps: p.Reps, Workers: ev.pool.Workers(),
 		})
 	}
 	if opts.StorePath != "" {
@@ -690,8 +691,8 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		}{{"baseline", p.baseCand()}, {"best", bestC}} {
 			ex, xerr := ev.explain(ec.label, ec.c, p.TraceSample)
 			if xerr != nil {
-				var rp *repPanic
-				if errors.As(xerr, &rp) {
+				var pe *des.PanicError
+				if errors.As(xerr, &pe) {
 					continue
 				}
 				return nil, xerr
@@ -733,7 +734,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 	stats := RunStats{
 		StoreHits:   ev.storeHits,
 		StorePuts:   ev.storePuts,
-		Retries:     int(ev.retries.Load()),
+		Retries:     ev.retries,
 		Quarantined: ev.quarantined,
 		Elapsed:     sinceWall(started),
 	}

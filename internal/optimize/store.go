@@ -28,23 +28,15 @@ func (e *Evaluator) storeKey(candFP uint64) evalstore.Key {
 	return evalstore.Key{Topo: e.topoFP, Cand: candFP, Spec: e.specFP}
 }
 
-// measurementsOf flattens a Score's raw measurements in the store's
-// fixed order — Value and Cost stay out, they are recomputed from the
-// consuming run's own objective and cost model.
-func measurementsOf(s Score) evalstore.Measurements {
-	return evalstore.Measurements{
-		s.PSuccess, s.MeanTTSF, s.FinalRatio, s.PDetect, s.MeanDetLatency,
-		s.MeanDetections, s.MeanFoothold, s.MeanRotations, s.MeanReinfections,
-		s.MeanRotationCost,
-	}
-}
-
-// scoreFromMeasurements inverts measurementsOf (Value and Cost are
-// filled in by the caller).
-func scoreFromMeasurements(m evalstore.Measurements) Score {
-	return Score{
+// scoreFromMeasurements builds the Score of a measurement vector in the
+// store's fixed order, valued under this run's objective; Cost is
+// filled in by the caller from this run's cost model.
+func (e *Evaluator) scoreFromMeasurements(m evalstore.Measurements) Score {
+	s := Score{
 		PSuccess: m[0], MeanTTSF: m[1], FinalRatio: m[2], PDetect: m[3],
 		MeanDetLatency: m[4], MeanDetections: m[5], MeanFoothold: m[6],
 		MeanRotations: m[7], MeanReinfections: m[8], MeanRotationCost: m[9],
 	}
+	s.Value = e.value(s)
+	return s
 }

@@ -128,13 +128,13 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 // A periodic engine must actually rotate, and the whole rotated
-// evaluation must be byte-identical across worker counts and batch
-// sizes — the determinism contract per-policy seeded streams exist for.
+// evaluation must be byte-identical across worker counts — the
+// determinism contract per-policy seeded streams exist for.
 func TestPeriodicRotatesDeterministically(t *testing.T) {
 	topo := testTopo()
 	spec := Spec{Kind: Periodic, Period: 48, Batch: 2, Downtime: 4}
 	es := evalSpec(topo, spec, 8, 11)
-	es.Workers, es.Batch = 1, 1
+	es.Workers = 1
 	want, err := malware.Evaluate(es)
 	if err != nil {
 		t.Fatal(err)
@@ -150,15 +150,13 @@ func TestPeriodicRotatesDeterministically(t *testing.T) {
 		t.Fatal("periodic engine performed no rotations")
 	}
 	for _, workers := range []int{2, 5} {
-		for _, batch := range []int{0, 3} {
-			es.Workers, es.Batch = workers, batch
-			got, err := malware.Evaluate(es)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d batch=%d: rotated outcomes diverged", workers, batch)
-			}
+		es.Workers = workers
+		got, err := malware.Evaluate(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: rotated outcomes diverged", workers)
 		}
 	}
 }

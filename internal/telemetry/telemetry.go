@@ -101,8 +101,9 @@ func (EvaluationBatch) Kind() string { return "evaluation_batch" }
 
 // WorkerQuarantined reports a candidate evaluation that panicked
 // repeatedly and was scored infeasible instead of crashing the run. It
-// is emitted from the evaluator worker goroutine that tripped the
-// quarantine — sinks must be safe for concurrent use.
+// is emitted once per quarantine, from the goroutine that requested the
+// evaluation, and names the lowest-indexed replication that kept
+// panicking and the worker that ran it.
 type WorkerQuarantined struct {
 	Worker      int
 	Replication int
@@ -173,10 +174,9 @@ type RunFinished struct {
 func (RunFinished) Kind() string { return "run_finished" }
 
 // Sink receives the progress-event stream. Implementations MUST be safe
-// for concurrent use: strategy events arrive from the search loop while
-// worker events (WorkerQuarantined) arrive from evaluator goroutines,
-// possibly while a /metrics scrape reads the registry. Emit must not
-// block for long — it runs inline on the search path when enabled.
+// for concurrent use: events arrive from the search loop, possibly
+// while a /metrics scrape reads the registry. Emit must not block for
+// long — it runs inline on the search path when enabled.
 type Sink interface {
 	Emit(Event)
 }
