@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		platform    = fs.Float64("platform-cost", 5, "cost per extra distinct variant per class")
 		nodeCost    = fs.Float64("node-cost", 2, "cost per node deviating from the default")
 		iters       = fs.Int("iterations", 0, "search iterations (0 = strategy default)")
-		pop         = fs.Int("pop", 0, "genetic population size (0 = default)")
+		pop         = fs.Int("pop", 0, "genetic and pareto (NSGA-II) population size (0 = default)")
 		reps        = fs.Int("reps", 64, "Monte-Carlo replications per candidate")
 		horizon     = fs.Float64("horizon", 720, "observation window in hours")
 		seed        = fs.Uint64("seed", 1, "RNG seed (fixes the whole search)")

@@ -244,7 +244,8 @@ type OptimizeConfig struct {
 	Objective string
 	// Objectives selects the axes of the reported Pareto front and of
 	// the "pareto" strategy's dominance comparisons, from "cost",
-	// "success" and "detection" (empty = all three).
+	// "success", "detection" and "foothold" (empty = cost, success and
+	// detection).
 	Objectives []string
 	// ScreenTop bounds how many surrogate-ranked options greedy
 	// simulates per round: 0 applies the default screen on large option
@@ -268,7 +269,7 @@ type OptimizeConfig struct {
 	NodeCost     float64
 	// Iterations bounds the search (annealing proposals / genetic
 	// generations / greedy rounds; 0 = strategy default); Population is
-	// the genetic population size.
+	// the genetic and pareto (NSGA-II) population size.
 	Iterations int
 	Population int
 	// Reps is the Monte-Carlo replication count per candidate (default

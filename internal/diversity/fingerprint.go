@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"diversify/internal/digest"
 	"diversify/internal/exploits"
 	"diversify/internal/topology"
 )
@@ -60,36 +61,20 @@ func (a *Assignment) Unset(n topology.NodeID, c exploits.Class) {
 	}
 }
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // Fingerprint returns a deterministic 64-bit digest of the overlay (an
 // FNV-1a hash over the canonically ordered entries). Two assignments with
 // identical decisions share a fingerprint regardless of insertion order,
 // which is what lets the optimizer's evaluation cache recognize a
 // candidate it has already simulated.
 func (a *Assignment) Fingerprint() uint64 {
-	entries := a.Entries()
-	h := uint64(fnvOffset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime
+	h := digest.New()
+	for _, e := range a.Entries() {
+		h.U64(uint64(e.Node))
+		h.Byte(byte(e.Class))
+		h.Raw(string(e.Variant))
+		h.Byte(0xFF) // entry separator (variant IDs never contain 0xFF)
 	}
-	for _, e := range entries {
-		id := uint64(e.Node)
-		for i := 0; i < 8; i++ {
-			mix(byte(id >> (8 * i)))
-		}
-		mix(byte(e.Class))
-		for i := 0; i < len(e.Variant); i++ {
-			mix(e.Variant[i])
-		}
-		mix(0xFF) // entry separator (variant IDs never contain 0xFF)
-	}
-	return h
+	return h.Sum()
 }
 
 // Option is one feasible diversification action the optimizer may take:

@@ -14,15 +14,17 @@ import (
 // spreading budget thinly when a concentrated cut-set placement wins).
 // Because annealing revisits neighborhoods, the evaluator's fingerprint
 // cache turns a substantial fraction of proposals into cache hits.
-type Anneal struct {
-	// T0 and Tmin bound the geometric temperature schedule. When unset,
-	// T0 defaults to 0.08 scaled up by the baseline objective magnitude
-	// when it exceeds 1 — probability-valued objectives anneal at 0.08,
-	// while hour-valued ones (MaximizeTTSF) get a temperature in their
-	// own units instead of degenerating to hill-climbing — and Tmin to
-	// T0/40.
-	T0, Tmin float64
-}
+type Anneal struct{}
+
+// The geometric temperature schedule runs from T0 = annealT0 scaled up
+// by the baseline objective magnitude when it exceeds 1 — probability-
+// valued objectives anneal at 0.08, while hour-valued ones (MaximizeTTSF)
+// get a temperature in their own units instead of degenerating to
+// hill-climbing — down to Tmin = T0/annealCooling.
+const (
+	annealT0      = 0.08
+	annealCooling = 40
+)
 
 // Name implements Optimizer.
 func (*Anneal) Name() string { return "anneal" }
@@ -30,7 +32,7 @@ func (*Anneal) Name() string { return "anneal" }
 // Search implements Optimizer.
 //
 //diversify:det-root seeded search entry point: same seed, same trace
-func (an *Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error) {
+func (*Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error) {
 	iters := p.Iterations
 	if iters <= 0 {
 		iters = 300
@@ -41,14 +43,8 @@ func (an *Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 	if err != nil {
 		return nil, err
 	}
-	t0 := an.T0
-	if t0 <= 0 {
-		t0 = 0.08 * math.Max(1, math.Abs(cur.Value))
-	}
-	tmin := an.Tmin
-	if tmin <= 0 || tmin > t0 {
-		tmin = t0 / 40
-	}
+	t0 := annealT0 * math.Max(1, math.Abs(cur.Value))
+	tmin := t0 / annealCooling
 	alpha := 1.0
 	if iters > 1 {
 		alpha = math.Pow(tmin/t0, 1/float64(iters-1))

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"diversify/internal/digest"
 	"diversify/internal/diversity"
 	"diversify/internal/exploits"
 	"diversify/internal/topology"
@@ -27,7 +28,7 @@ func (c Candidate) Clone() Candidate { return Candidate{A: c.A.Clone(), Rot: c.R
 func (c Candidate) fingerprint(rotFPs []uint64) uint64 {
 	fp := c.A.Fingerprint()
 	if c.Rot >= 0 {
-		fp = fp*fnvPrime64 ^ rotFPs[c.Rot]
+		fp = fp*digest.Prime ^ rotFPs[c.Rot]
 	}
 	return fp
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"diversify/internal/des"
+	"diversify/internal/digest"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
 	"diversify/internal/indicators"
@@ -487,17 +488,7 @@ func (e *Evaluator) noteRound(strategy string, step *TraceStep, frontSize int) {
 // search role, so strategy moves, the random baseline and the evaluation
 // streams never share draws.
 func newSearchRand(seed uint64, role string) *rng.Rand {
-	h := uint64(fnvOffsetBasis)
-	for i := 0; i < len(role); i++ {
-		h ^= uint64(role[i])
-		h *= fnvPrime64
-	}
-	return rng.New(seed ^ h)
+	h := digest.New()
+	h.Raw(role)
+	return rng.New(seed ^ h.Sum())
 }
-
-// FNV-1a 64-bit parameters (local copy; diversity keeps its own for
-// fingerprinting).
-const (
-	fnvOffsetBasis = 14695981039346656037
-	fnvPrime64     = 1099511628211
-)

@@ -15,92 +15,70 @@ import (
 // overlay decisions, mutated with moveSpace moves and repaired back under
 // budget. Elites carry over unchanged each generation (their re-scores
 // are cache hits by construction). Iterations is the generation count.
-type Genetic struct {
-	// MutProb is the per-child mutation probability (default 0.35).
-	MutProb float64
-	// Elite is the number of top individuals copied unchanged into the
-	// next generation (default 2).
-	Elite int
-	// TournamentK is the selection tournament size (default 3).
-	TournamentK int
-}
+type Genetic struct{}
+
+// Genetic's breeding constants: per-child mutation probability, the
+// number of top individuals copied unchanged into the next generation,
+// and the selection tournament size.
+const (
+	geneticMutProb    = 0.35
+	geneticElite      = 2
+	geneticTournament = 3
+)
 
 // Name implements Optimizer.
 func (*Genetic) Name() string { return "genetic" }
 
-type indiv struct {
-	c  Candidate
-	s  Score
-	fp uint64
+// pind is one scored population member — the genetic and NSGA-II
+// searches share it; vec caches the objective vector over the problem's
+// front axes (empty for the single-objective genetic search).
+type pind struct {
+	c   Candidate
+	s   Score
+	fp  uint64
+	vec []float64
+}
+
+// scorePop scores every member, in order, into a population.
+func scorePop(ev *Evaluator, axes []Axis, members []Candidate) ([]pind, error) {
+	out := make([]pind, len(members))
+	for i, c := range members {
+		s, err := ev.Score(c)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pind{c: c, s: s, fp: c.fingerprint(ev.rotFPs), vec: objVec(axes, s)}
+	}
+	return out, nil
 }
 
 // Search implements Optimizer.
 //
 //diversify:det-root seeded search entry point: same seed, same trace
-func (g *Genetic) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error) {
+func (*Genetic) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error) {
 	gens := p.Iterations
 	if gens <= 0 {
 		gens = 25
 	}
-	popSize := p.Population
-	if popSize < 4 {
-		popSize = 4
-	}
-	mutProb := g.MutProb
-	if mutProb <= 0 || mutProb > 1 {
-		mutProb = 0.35
-	}
-	elite := g.Elite
-	if elite <= 0 || elite >= popSize {
-		elite = 2
-	}
-	tk := g.TournamentK
-	if tk <= 1 {
-		tk = 3
-	}
+	popSize := max(p.Population, 4)
 	ms := newMoveSpace(p)
-	score := func(members []Candidate) ([]indiv, error) {
-		out := make([]indiv, len(members))
-		for i, c := range members {
-			s, err := ev.Score(c)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = indiv{c: c, s: s, fp: c.fingerprint(ev.rotFPs)}
-		}
-		return out, nil
-	}
-	// Seed population: the incumbent plus random feasible fills of varying
-	// intensity (with a uniformly drawn schedule when the problem has a
-	// rotation dimension).
-	members := make([]Candidate, 0, popSize)
-	members = append(members, p.baseCand())
-	for len(members) < popSize {
-		c := randomCandidate(p, r)
-		ms.repair(&c, ev, r)
-		members = append(members, c)
-	}
-	pop, err := score(members)
+	// Seed population: the incumbent plus random feasible fills.
+	pop, err := scorePop(ev, nil, ms.fill([]Candidate{p.baseCand()}, popSize, ev, r))
 	if err != nil {
 		return nil, err
 	}
+	// Tournaments prefer the lower value, then the lower fingerprint.
+	better := func(a, b int) bool {
+		return pop[a].s.Value < pop[b].s.Value || (pop[a].s.Value == pop[b].s.Value && pop[a].fp < pop[b].fp)
+	}
+	pick := func() Candidate { return pop[tournament(r, len(pop), geneticTournament, better)].c }
 	rank := func() {
-		slices.SortFunc(pop, func(x, y indiv) int {
+		slices.SortFunc(pop, func(x, y pind) int {
 			if c := cmp.Compare(x.s.Value, y.s.Value); c != 0 {
 				return c
 			}
 			return cmp.Compare(x.fp, y.fp)
 		})
-	}
-	tournament := func() indiv {
-		best := pop[r.Intn(len(pop))]
-		for i := 1; i < tk; i++ {
-			c := pop[r.Intn(len(pop))]
-			if c.s.Value < best.s.Value || (c.s.Value == best.s.Value && c.fp < best.fp) {
-				best = c
-			}
-		}
-		return best
 	}
 	trace := make([]TraceStep, 0, gens)
 	for gen := 0; gen < gens; gen++ {
@@ -116,19 +94,11 @@ func (g *Genetic) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		})
 		ev.noteRound("genetic", &trace[len(trace)-1], 0)
 		next := make([]Candidate, 0, popSize)
-		for i := 0; i < elite; i++ {
+		for i := 0; i < geneticElite; i++ {
 			next = append(next, pop[i].c.Clone())
 		}
-		for len(next) < popSize {
-			p1, p2 := tournament(), tournament()
-			child := crossover(p1.c, p2.c, r)
-			if r.Bool(mutProb) {
-				ms.mutate(&child, r)
-			}
-			ms.repair(&child, ev, r)
-			next = append(next, child)
-		}
-		if pop, err = score(next); err != nil {
+		next = ms.breed(next, popSize, geneticMutProb, pick, ev, r)
+		if pop, err = scorePop(ev, nil, next); err != nil {
 			return trace, err
 		}
 	}
@@ -141,22 +111,6 @@ func (g *Genetic) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 	})
 	ev.noteRound("genetic", &trace[len(trace)-1], 0)
 	return trace, nil
-}
-
-// randomCandidate builds one random feasible fill: a burst of random
-// options over the base placement, paired with a uniformly drawn
-// schedule (including "static") when the problem has a rotation
-// dimension. Callers repair the result back under the constraints.
-func randomCandidate(p *Problem, r *rng.Rand) Candidate {
-	c := Candidate{A: p.base(), Rot: -1}
-	k := 1 + r.Intn(max(1, len(p.Options)/3))
-	for j := 0; j < k; j++ {
-		p.Options[r.Intn(len(p.Options))].Apply(c.A)
-	}
-	if len(p.Rotations) > 0 {
-		c.Rot = r.Intn(len(p.Rotations)+1) - 1
-	}
-	return c
 }
 
 // crossover recombines two candidates: overlays uniformly — for every

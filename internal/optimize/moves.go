@@ -178,3 +178,52 @@ func (ms *moveSpace) repair(c *Candidate, ev *Evaluator, r *rng.Rand) {
 		c.A.Unset(e.Node, e.Class)
 	}
 }
+
+// fill appends random feasible candidates to members until it holds n:
+// each is a burst of random options over the base placement, paired
+// with a uniformly drawn schedule (including "static") when the problem
+// has a rotation dimension, then repaired back under the constraints.
+func (ms *moveSpace) fill(members []Candidate, n int, ev *Evaluator, r *rng.Rand) []Candidate {
+	p := ms.p
+	for len(members) < n {
+		c := Candidate{A: p.base(), Rot: -1}
+		k := 1 + r.Intn(max(1, len(p.Options)/3))
+		for j := 0; j < k; j++ {
+			p.Options[r.Intn(len(p.Options))].Apply(c.A)
+		}
+		if len(p.Rotations) > 0 {
+			c.Rot = r.Intn(len(p.Rotations)+1) - 1
+		}
+		ms.repair(&c, ev, r)
+		members = append(members, c)
+	}
+	return members
+}
+
+// breed appends offspring to next until it holds n: two parents from
+// pick, uniform crossover, one mutation with probability mutProb, and
+// repair back under the constraints.
+func (ms *moveSpace) breed(next []Candidate, n int, mutProb float64, pick func() Candidate, ev *Evaluator, r *rng.Rand) []Candidate {
+	for len(next) < n {
+		p1, p2 := pick(), pick()
+		child := crossover(p1, p2, r)
+		if r.Bool(mutProb) {
+			ms.mutate(&child, r)
+		}
+		ms.repair(&child, ev, r)
+		next = append(next, child)
+	}
+	return next
+}
+
+// tournament draws k uniform indices into a population of n and returns
+// the best under less.
+func tournament(r *rng.Rand, n, k int, less func(a, b int) bool) int {
+	best := r.Intn(n)
+	for i := 1; i < k; i++ {
+		if c := r.Intn(n); less(c, best) {
+			best = c
+		}
+	}
+	return best
+}

@@ -140,8 +140,9 @@ func (a Axis) of(s Score) float64 {
 	}
 }
 
-// ParseAxes resolves front-axis names ("cost", "success", "detection").
-// An empty list selects the full 3-D front.
+// ParseAxes resolves front-axis names ("cost", "success", "detection",
+// "foothold"). An empty list selects the default cost × success ×
+// detection front.
 func ParseAxes(names []string) ([]Axis, error) {
 	if len(names) == 0 {
 		return DefaultAxes(), nil
@@ -219,7 +220,8 @@ type Problem struct {
 	// Iterations bounds the search: annealing proposals, genetic
 	// generations, greedy rounds (0 = strategy default).
 	Iterations int
-	// Population is the genetic population size (0 = default 16).
+	// Population is the genetic and pareto (NSGA-II) population size
+	// (0 = default 16).
 	Population int
 	// FirewallVariant optionally overrides every firewalled link.
 	FirewallVariant exploits.VariantID
@@ -546,7 +548,7 @@ type RunStats struct {
 	StorePuts int
 	// Retries counts replication attempts that panicked and were replayed
 	// under the same stream seed; Quarantined the candidates scored
-	// infeasible after maxRepAttempts consecutive panics.
+	// infeasible after a replication exhausted des.Pool's panic retries.
 	Retries     int
 	Quarantined int
 	// Elapsed is the full RunWith wall-clock.
@@ -817,27 +819,27 @@ func compareVec(a, b []float64) int {
 }
 
 // paretoFront extracts the non-dominated feasible set from the
-// evaluator archive over the problem's axes. Candidates harvested from
-// the cache with identical objective vectors (distinct assignments that
-// measure the same) are deduplicated, keeping the lowest fingerprint,
-// and the front is sorted by objective vector then fingerprint — so the
-// -json output is stable across runs.
+// evaluator archive over the problem's axes — front 0 of NSGA-II's
+// non-dominated sort. Candidates harvested from the cache with
+// identical objective vectors (distinct assignments that measure the
+// same) are deduplicated, keeping the lowest fingerprint, and the front
+// is sorted by objective vector then fingerprint — so the -json output
+// is stable across runs.
 func paretoFront(p *Problem, ev *Evaluator) []ParetoPoint {
-	type scored struct {
-		c   archived
-		vec []float64
-	}
-	cands := make([]scored, 0, len(ev.archive))
+	cands := make([]pind, 0, len(ev.archive))
 	for _, c := range ev.archive {
 		if c.score.Cost <= p.Budget+budgetEps && c.zoneOK && !c.score.Quarantined {
-			cands = append(cands, scored{c: c, vec: objVec(p.Axes, c.score)})
+			cands = append(cands, pind{c: c.cand, s: c.score, fp: c.fingerprint, vec: objVec(p.Axes, c.score)})
 		}
 	}
-	slices.SortFunc(cands, func(a, b scored) int {
+	if len(cands) == 0 {
+		return nil
+	}
+	slices.SortFunc(cands, func(a, b pind) int {
 		if c := compareVec(a.vec, b.vec); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.c.fingerprint, b.c.fingerprint)
+		return cmp.Compare(a.fp, b.fp)
 	})
 	// Dedupe equal vectors (the sort put the lowest fingerprint first).
 	uniq := cands[:0]
@@ -847,31 +849,23 @@ func paretoFront(p *Problem, ev *Evaluator) []ParetoPoint {
 		}
 		uniq = append(uniq, s)
 	}
-	var front []ParetoPoint
-	for i, s := range uniq {
-		dominated := false
-		for j, o := range uniq {
-			if i != j && dominates(o.vec, s.vec) {
-				dominated = true
-				break
-			}
+	front0 := nonDominatedFronts(uniq)[0]
+	front := make([]ParetoPoint, len(front0))
+	for k, i := range front0 {
+		m := uniq[i]
+		front[k] = ParetoPoint{
+			Cost:           m.s.Cost,
+			Value:          m.s.Value,
+			PSuccess:       m.s.PSuccess,
+			FinalRatio:     m.s.FinalRatio,
+			PDetect:        m.s.PDetect,
+			MeanDetLatency: m.s.MeanDetLatency,
+			MeanDetections: m.s.MeanDetections,
+			MeanFoothold:   m.s.MeanFoothold,
+			Rotation:       p.rotName(m.c.Rot),
+			Fingerprint:    m.fp,
+			Decisions:      decisionsOf(p.Topo, m.c.A),
 		}
-		if dominated {
-			continue
-		}
-		front = append(front, ParetoPoint{
-			Cost:           s.c.score.Cost,
-			Value:          s.c.score.Value,
-			PSuccess:       s.c.score.PSuccess,
-			FinalRatio:     s.c.score.FinalRatio,
-			PDetect:        s.c.score.PDetect,
-			MeanDetLatency: s.c.score.MeanDetLatency,
-			MeanDetections: s.c.score.MeanDetections,
-			MeanFoothold:   s.c.score.MeanFoothold,
-			Rotation:       p.rotName(s.c.cand.Rot),
-			Fingerprint:    s.c.fingerprint,
-			Decisions:      decisionsOf(p.Topo, s.c.cand.A),
-		})
 	}
 	return front
 }

@@ -25,39 +25,32 @@ import (
 // the shared cache, so nothing is wasted) and its incumbent prefixes —
 // cheap early rounds through the full greedy spend — give the first
 // generation a cost-spread spine of known-good placements instead of
-// uniform noise. RandomInit restores the pre-seeding behavior for
-// comparison.
+// uniform noise.
 //
 // Iterations is the generation count, Population the population size.
 // Every comparison is tie-broken by candidate fingerprint, so the
 // search — and the front it leaves behind — is deterministic for a
 // given seed regardless of the worker count.
 type Pareto struct {
-	// MutProb is the per-child mutation probability (default 0.45 —
-	// higher than Genetic's because diversity along the front matters
-	// more than convergence to a single optimum).
-	MutProb float64
-	// TournamentK is the selection tournament size (default 2, the
-	// NSGA-II standard binary tournament).
-	TournamentK int
-	// SeedRounds bounds the greedy trajectory used to seed the
-	// population (default 4 rounds, capped at Population-1).
-	SeedRounds int
-	// RandomInit seeds the population with random fills instead of the
-	// greedy trajectory (the pre-seeding behavior, kept for comparison).
-	RandomInit bool
+	// randomInit seeds the population with random fills instead of the
+	// greedy trajectory: the pre-seeding behavior, kept as the reference
+	// the seeded search is tested against.
+	randomInit bool
 }
+
+// NSGA-II's breeding constants: the per-child mutation probability
+// (higher than Genetic's because diversity along the front matters more
+// than convergence to a single optimum), the NSGA-II standard binary
+// tournament, and the greedy rounds that seed the population (fewer
+// than the minimum population of 8, so the spine always fits).
+const (
+	paretoMutProb    = 0.45
+	paretoTournament = 2
+	paretoSeedRounds = 4
+)
 
 // Name implements Optimizer.
 func (*Pareto) Name() string { return "pareto" }
-
-// pind is one population member with its cached objective vector.
-type pind struct {
-	c   Candidate
-	s   Score
-	fp  uint64
-	vec []float64
-}
 
 // Search implements Optimizer.
 //
@@ -67,43 +60,14 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 	if gens <= 0 {
 		gens = 20
 	}
-	popSize := p.Population
-	if popSize < 8 {
-		popSize = 8
-	}
-	mutProb := pt.MutProb
-	if mutProb <= 0 || mutProb > 1 {
-		mutProb = 0.45
-	}
-	tk := pt.TournamentK
-	if tk <= 1 {
-		tk = 2
-	}
+	popSize := max(p.Population, 8)
 	ms := newMoveSpace(p)
-	score := func(members []Candidate) ([]pind, error) {
-		out := make([]pind, len(members))
-		for i, c := range members {
-			s, err := ev.Score(c)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = pind{c: c, s: s, fp: c.fingerprint(ev.rotFPs), vec: objVec(p.Axes, s)}
-		}
-		return out, nil
-	}
 	// Seed population: the base candidate, then the screened-greedy
-	// trajectory prefixes (unless RandomInit), then random feasible fills
-	// of varying intensity for whatever slots remain.
+	// trajectory prefixes (unless randomInit), then random feasible fills
+	// for whatever slots remain.
 	members := make([]Candidate, 0, popSize)
 	members = append(members, p.baseCand())
-	if !pt.RandomInit {
-		rounds := pt.SeedRounds
-		if rounds <= 0 {
-			rounds = 4
-		}
-		if rounds > popSize-1 {
-			rounds = popSize - 1
-		}
+	if !pt.randomInit {
 		// The seeding pass runs under a screen clamped to a few times the
 		// population size: enough surrogate-top options per round to lay a
 		// known-good spine, without the full greedy search's per-round
@@ -112,18 +76,13 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		if clamp := 4 * popSize; seedP.ScreenTop <= 0 || seedP.ScreenTop > clamp {
 			seedP.ScreenTop = clamp
 		}
-		_, incumbents, err := greedySearch(ctx, &seedP, ev, rounds)
+		_, incumbents, err := greedySearch(ctx, &seedP, ev, paretoSeedRounds)
 		if err != nil {
 			return nil, err
 		}
 		members = append(members, incumbents...)
 	}
-	for len(members) < popSize {
-		c := randomCandidate(p, r)
-		ms.repair(&c, ev, r)
-		members = append(members, c)
-	}
-	pop, err := score(members)
+	pop, err := scorePop(ev, p.Axes, ms.fill(members, popSize, ev, r))
 	if err != nil {
 		return nil, err
 	}
@@ -136,29 +95,12 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		step, front := paretoTraceStep(gen, pop, rank)
 		trace = append(trace, step)
 		ev.noteRound("pareto", &trace[len(trace)-1], front)
-		tournament := func() pind {
-			best := r.Intn(len(pop))
-			for i := 1; i < tk; i++ {
-				c := r.Intn(len(pop))
-				if pindLess(rank, crowd, pop, c, best) {
-					best = c
-				}
-			}
-			return pop[best]
-		}
+		better := func(a, b int) bool { return pindLess(rank, crowd, pop, a, b) }
+		pick := func() Candidate { return pop[tournament(r, len(pop), paretoTournament, better)].c }
 		// Offspring generation, then (mu+lambda) environmental selection
 		// over parents ∪ children.
-		children := make([]Candidate, 0, popSize)
-		for len(children) < popSize {
-			p1, p2 := tournament(), tournament()
-			child := crossover(p1.c, p2.c, r)
-			if r.Bool(mutProb) {
-				ms.mutate(&child, r)
-			}
-			ms.repair(&child, ev, r)
-			children = append(children, child)
-		}
-		scored, err := score(children)
+		children := ms.breed(make([]Candidate, 0, popSize), popSize, paretoMutProb, pick, ev, r)
+		scored, err := scorePop(ev, p.Axes, children)
 		if err != nil {
 			return trace, err
 		}

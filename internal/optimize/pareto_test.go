@@ -11,7 +11,9 @@ import (
 
 // Property (a): every reported Pareto point is feasible and
 // non-dominated against every other archived feasible candidate in all
-// three objectives — not merely against its fellow front members.
+// three objectives — not merely against its fellow front members — and,
+// conversely, the front is complete: a brute-force O(n²) filter over the
+// archive is the oracle for paretoFront's non-dominated sort.
 func TestParetoPointsNonDominatedInArchive(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		p := testProblem(seed)
@@ -32,6 +34,13 @@ func TestParetoPointsNonDominatedInArchive(t *testing.T) {
 		if _, err := o.Search(context.Background(), &p, ev, newSearchRand(p.Seed, o.Name())); err != nil {
 			t.Fatal(err)
 		}
+		// Twin every archived candidate under a neighbouring fingerprint,
+		// standing in for distinct assignments that measure the same, so
+		// the lowest-fingerprint dedupe rule is exercised on every vector.
+		for _, c := range ev.archive {
+			c.fingerprint ^= 1
+			ev.archive = append(ev.archive, c)
+		}
 		front := paretoFront(&p, ev)
 		if len(front) == 0 {
 			t.Fatal("empty front")
@@ -49,6 +58,45 @@ func TestParetoPointsNonDominatedInArchive(t *testing.T) {
 					t.Errorf("seed %d: front point %d (fp %016x) dominated by archived %016x",
 						seed, i, pt.Fingerprint, c.fingerprint)
 				}
+			}
+		}
+		// Converse: every distinct feasible vector in the archive that no
+		// feasible vector dominates is on the front, carried by the lowest
+		// fingerprint among the candidates measuring it.
+		feasible := func(c archived) bool {
+			return c.score.Cost <= p.Budget+budgetEps && c.zoneOK && !c.score.Quarantined
+		}
+		want := map[string]uint64{} // objective vector → lowest fingerprint
+		for _, c := range ev.archive {
+			if !feasible(c) {
+				continue
+			}
+			v := objVec(p.Axes, c.score)
+			dominated := false
+			for _, o := range ev.archive {
+				if feasible(o) && dominates(objVec(p.Axes, o.score), v) {
+					dominated = true
+					break
+				}
+			}
+			if dominated {
+				continue
+			}
+			if fp, ok := want[fmt.Sprint(v)]; !ok || c.fingerprint < fp {
+				want[fmt.Sprint(v)] = c.fingerprint
+			}
+		}
+		onFront := map[uint64]bool{}
+		for _, pt := range front {
+			onFront[pt.Fingerprint] = true
+		}
+		if len(want) != len(front) {
+			t.Errorf("seed %d: front has %d points, brute force finds %d non-dominated vectors",
+				seed, len(front), len(want))
+		}
+		for v, fp := range want {
+			if !onFront[fp] {
+				t.Errorf("seed %d: non-dominated vector %s (lowest fp %016x) missing from the front", seed, v, fp)
 			}
 		}
 	}

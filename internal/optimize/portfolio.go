@@ -16,12 +16,7 @@ import (
 // fingerprint cache and one archive), which is also what makes the final
 // extraction a best-of-portfolio: Run picks the best feasible candidate
 // and the Pareto front over everything any stage evaluated.
-type Portfolio struct {
-	// Anneal and Genetic optionally tune the seeded stages; zero values
-	// use the stage defaults.
-	Anneal  Anneal
-	Genetic Genetic
-}
+type Portfolio struct{}
 
 // Name implements Optimizer.
 func (*Portfolio) Name() string { return "portfolio" }
@@ -33,7 +28,7 @@ func (*Portfolio) Name() string { return "portfolio" }
 // earlier stages evaluated stays in the shared archive.
 //
 //diversify:det-root seeded search entry point: same seed, same trace
-func (pf *Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.Rand) ([]TraceStep, error) {
+func (*Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.Rand) ([]TraceStep, error) {
 	var trace []TraceStep
 	appendStage := func(stage string, steps []TraceStep) {
 		for _, s := range steps {
@@ -57,7 +52,7 @@ func (pf *Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *r
 		seeded.Base = bestC.A
 		seeded.BaseRotation = bestC.Rot + 1
 	}
-	aSteps, err := pf.Anneal.Search(ctx, &seeded, ev, newSearchRand(p.Seed, "portfolio-anneal"))
+	aSteps, err := (&Anneal{}).Search(ctx, &seeded, ev, newSearchRand(p.Seed, "portfolio-anneal"))
 	appendStage("anneal", aSteps)
 	if err != nil {
 		return trace, err
@@ -69,7 +64,7 @@ func (pf *Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *r
 		seeded.Base = bestC.A
 		seeded.BaseRotation = bestC.Rot + 1
 	}
-	genSteps, err := pf.Genetic.Search(ctx, &seeded, ev, newSearchRand(p.Seed, "portfolio-genetic"))
+	genSteps, err := (&Genetic{}).Search(ctx, &seeded, ev, newSearchRand(p.Seed, "portfolio-genetic"))
 	appendStage("genetic", genSteps)
 	if err != nil {
 		return trace, err

@@ -385,7 +385,7 @@ func TestSeededParetoDominatesRandomInit(t *testing.T) {
 	run := func(randomInit bool, gens int) *Result {
 		p := base
 		p.Iterations = gens
-		res, err := Run(p, &Pareto{RandomInit: randomInit})
+		res, err := Run(p, &Pareto{randomInit: randomInit})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package optimize
 
-import "diversify/internal/evalstore"
+import (
+	"diversify/internal/digest"
+	"diversify/internal/evalstore"
+)
 
 // evalSpecDigest hashes everything OUTSIDE the candidate that shapes an
 // evaluation's raw measurements: the exploit catalog, the threat
@@ -12,15 +15,46 @@ import "diversify/internal/evalstore"
 // which is exactly why a re-optimization under a tweaked budget or
 // objective can warm-start from the store.
 func evalSpecDigest(p *Problem) uint64 {
-	d := newDigester()
-	d.str("diversify/evalspec/v1")
-	d.u64(p.Catalog.Fingerprint())
-	digestProfile(d, p)
-	d.f64(p.Horizon)
-	d.i64(int64(p.Reps))
-	d.u64(p.Seed)
-	d.str(string(p.FirewallVariant))
-	return d.sum()
+	d := digest.New()
+	d.Str("diversify/evalspec/v1")
+	d.U64(p.Catalog.Fingerprint())
+	digestProfile(&d, p)
+	d.F64(p.Horizon)
+	d.U64(uint64(p.Reps))
+	d.U64(p.Seed)
+	d.Str(string(p.FirewallVariant))
+	return d.Sum()
+}
+
+// digestProfile folds the malware profile in. Distributions contribute
+// through their stable String() forms (every rng.Dist implementation
+// prints its parameters deterministically).
+func digestProfile(d *digest.Hash, p *Problem) {
+	pr := &p.Profile
+	d.Str(pr.Name)
+	d.U64(uint64(pr.Objective))
+	d.U64(uint64(len(pr.EntryKinds)))
+	for _, k := range pr.EntryKinds {
+		d.U64(uint64(k))
+	}
+	d.F64(pr.SeedPeriod)
+	d.U64(uint64(pr.SeedCount))
+	d.F64(pr.PropagationPeriod)
+	d.F64(pr.RootRetryPeriod)
+	d.U64(uint64(pr.MaxStageAttempts))
+	d.F64(pr.C2BeaconPeriod)
+	d.F64(pr.BeaconDetectBase)
+	d.F64(pr.SpoofProb)
+	for _, dist := range []interface{ String() string }{pr.Manifest, pr.SpoofedManifest} {
+		if dist == nil {
+			d.Str("")
+		} else {
+			d.Str(dist.String())
+		}
+	}
+	d.U64(uint64(pr.ImpairTargets))
+	d.U64(uint64(pr.ExfilTargets))
+	d.F64(pr.ExfilPeriod)
 }
 
 // storeKey builds the durable-store key for a candidate fingerprint.

@@ -38,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 
+	"diversify/internal/digest"
 	"diversify/internal/exploits"
 	"diversify/internal/malware"
 	"diversify/internal/rng"
@@ -229,31 +230,19 @@ func (s Spec) PlannedCost(horizon float64) float64 {
 // engine's per-replication seed.
 func (s Spec) Fingerprint() uint64 {
 	s = s.withDefaults()
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xFF
-			h *= fnvPrime
-		}
-	}
-	mix(uint64(s.Kind))
-	mix(math.Float64bits(s.Period))
-	mix(uint64(s.Batch))
-	mix(math.Float64bits(s.Downtime))
-	mix(math.Float64bits(s.CostPerRotation))
-	mix(math.Float64bits(s.Budget))
+	h := digest.New()
+	h.U64(uint64(s.Kind))
+	h.F64(s.Period)
+	h.U64(uint64(s.Batch))
+	h.F64(s.Downtime)
+	h.F64(s.CostPerRotation)
+	h.F64(s.Budget)
 	for _, c := range s.Classes {
-		mix(uint64(c))
+		h.U64(uint64(c))
 	}
-	mix(s.Seed)
-	return h
+	h.U64(s.Seed)
+	return h.Sum()
 }
-
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
 
 // target is one rotation candidate with its structural criticality.
 type target struct {

@@ -20,14 +20,12 @@ const defaultTickInterval = 250 * time.Millisecond
 //     consistent and stdout-clean;
 //   - the per-round ticker is opt-in (-progress) and rate-limited:
 //     incumbent improvements always print, steady-state rounds at most
-//     once per interval.
+//     once per defaultTickInterval.
 type Progress struct {
 	w      io.Writer
 	ticker bool
-	// interval gates non-improving round lines; now is injectable for
-	// tests.
-	interval time.Duration
-	now      func() time.Time
+	// now is injectable for tests.
+	now func() time.Time
 
 	mu        sync.Mutex
 	last      time.Time //diversify:guardedby mu
@@ -40,12 +38,8 @@ type Progress struct {
 // the always-on notices print — the mode the CLI uses by default so
 // store/quarantine bookkeeping stays visible without -progress.
 func NewProgress(w io.Writer, ticker bool) *Progress {
-	return &Progress{w: w, ticker: ticker, interval: defaultTickInterval, now: time.Now}
+	return &Progress{w: w, ticker: ticker, now: time.Now}
 }
-
-// SetInterval overrides the round-line rate limit (0 prints every
-// round). For tests and high-latency terminals.
-func (p *Progress) SetInterval(d time.Duration) { p.interval = d }
 
 // Emit implements Sink.
 func (p *Progress) Emit(e Event) {
@@ -66,7 +60,7 @@ func (p *Progress) Emit(e Event) {
 			return
 		}
 		now := p.now()
-		if !improved && p.interval > 0 && now.Sub(p.last) < p.interval {
+		if !improved && now.Sub(p.last) < defaultTickInterval {
 			return
 		}
 		p.last = now

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"diversify/internal/digest"
 	"diversify/internal/exploits"
 )
 
@@ -386,50 +387,31 @@ func (t *Topology) ValidateComponents(cat *exploits.Catalog) error {
 // same generator from the same spec and seed share a fingerprint, which
 // is what the generated-grid determinism tests assert.
 func (t *Topology) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	mixInt := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			mix(byte(v >> (8 * i)))
-		}
-	}
-	mixStr := func(s string) {
-		mixInt(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			mix(s[i])
-		}
-	}
-	mixInt(uint64(len(t.nodes)))
+	h := digest.New()
+	h.U64(uint64(len(t.nodes)))
 	for _, n := range t.nodes {
-		mixStr(n.Name)
-		mix(byte(n.Kind))
-		mix(byte(n.Zone))
+		h.Str(n.Name)
+		h.Byte(byte(n.Kind))
+		h.Byte(byte(n.Zone))
 		classes := make([]exploits.Class, 0, len(n.Components))
 		for c := range n.Components {
 			classes = append(classes, c)
 		}
 		slices.Sort(classes)
-		mixInt(uint64(len(classes)))
+		h.U64(uint64(len(classes)))
 		for _, c := range classes {
-			mix(byte(c))
-			mixStr(string(n.Components[c]))
+			h.Byte(byte(c))
+			h.Str(string(n.Components[c]))
 		}
 	}
-	mixInt(uint64(len(t.links)))
+	h.U64(uint64(len(t.links)))
 	for _, l := range t.links {
-		mixInt(uint64(l.A))
-		mixInt(uint64(l.B))
-		mix(byte(l.Medium))
-		mixStr(string(l.Firewall))
+		h.U64(uint64(l.A))
+		h.U64(uint64(l.B))
+		h.Byte(byte(l.Medium))
+		h.Str(string(l.Firewall))
 	}
-	return h
+	return h.Sum()
 }
 
 // Neighbor is one hop reachable from a node.
