@@ -2,10 +2,17 @@
 // time-driven model in the framework (SAN execution, SCADA testbed, worm
 // propagation) runs on.
 //
-// A Sim owns a virtual clock and a pending-event heap. Events scheduled at
-// the same instant fire in scheduling order (FIFO tie-breaking via a
-// monotonically increasing sequence number), which keeps runs exactly
-// reproducible for a given seed.
+// A Sim owns a virtual clock, a pending-event heap and an event arena.
+// Events scheduled at the same instant fire in scheduling order (FIFO
+// tie-breaking via a monotonically increasing sequence number), which
+// keeps runs exactly reproducible for a given seed.
+//
+// Layout: each scheduled callback lives in an arena slot (Event), handed
+// out in fixed-size blocks and recycled by Reset. The pending heap is a
+// typed binary heap of {time, seq, *Event} values: the ordering key is
+// copied next to the slot pointer, so push and pop compare plain values
+// and never chase an Event, and there is no interface dispatch. Cancelled
+// events stay in the heap, inert, until they reach the top.
 //
 // The package also provides Pool, the framework's one Monte-Carlo
 // fan-out: it runs each replication on its own pre-derived RNG stream,
@@ -14,7 +21,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -39,9 +45,7 @@ type Payload struct {
 // Reset reuse slots while handles issued before the Reset stay inert.
 type Event struct {
 	time      float64
-	seq       uint64
 	epoch     uint64
-	index     int // heap index; -1 when not queued
 	fn        func()
 	pfn       func(Payload) // payload callback (fn and pfn are exclusive)
 	parg      Payload
@@ -101,33 +105,79 @@ func (h Handle) Cancelled() bool {
 	return h.e.cancelled
 }
 
-type eventHeap []*Event
+// queued is one pending-heap entry. The event's ordering key travels
+// with its slot pointer, so sifting compares plain values and never
+// dereferences an Event.
+type queued struct {
+	time float64
+	seq  uint64
+	e    *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before is the fire order: earlier time first, then scheduling order.
+// seq is unique within an epoch, so the order is strict and total and
+// every correct heap pops events in the same sequence.
+func (q queued) before(o queued) bool {
+	if q.time != o.time {
+		return q.time < o.time
 	}
-	return h[i].seq < h[j].seq
+	return q.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// eventHeap is a binary min-heap of queued entries ordered by before. A
+// 4-ary layout was measured on campaign replications and did not win.
+type eventHeap []queued
+
+// push inserts q and sifts it up.
+//
+//diversify:hotpath every scheduled event passes through here; only backing-array growth may allocate
+func (h *eventHeap) push(q queued) {
+	*h = append(*h, q)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = q
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest entry's event. The heap must be
+// non-empty.
+//
+//diversify:hotpath every fired or discarded event passes through here; must not allocate
+func (h *eventHeap) pop() *Event {
+	s := *h
+	top := s[0].e
+	n := len(s) - 1
+	last := s[n]
+	s[n] = queued{} // drop the slot pointer
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].before(s[child]) {
+			child = r
+		}
+		if !s[child].before(last) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	s[i] = last
+	return top
 }
 
 // Sim is a sequential discrete-event simulator. The zero value is ready to
@@ -200,9 +250,9 @@ func NewSim() *Sim { return &Sim{} }
 // steady-state Reset+run cycle free of des allocations.
 func (s *Sim) Reset() {
 	for i := range s.pending {
-		s.pending[i].fn = nil
-		s.pending[i].pfn = nil
-		s.pending[i] = nil
+		s.pending[i].e.fn = nil
+		s.pending[i].e.pfn = nil
+		s.pending[i] = queued{}
 	}
 	s.pending = s.pending[:0]
 	s.now = 0
@@ -222,8 +272,8 @@ func (s *Sim) FiredEvents() uint64 { return s.fired }
 // Pending returns the number of events currently scheduled.
 func (s *Sim) Pending() int {
 	n := 0
-	for _, e := range s.pending {
-		if !e.cancelled {
+	for _, q := range s.pending {
+		if !q.e.cancelled {
 			n++
 		}
 	}
@@ -246,9 +296,9 @@ func (s *Sim) ScheduleAt(t float64, fn func()) Handle {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, s.now))
 	}
 	e := s.newEvent()
-	*e = Event{time: t, seq: s.seq, epoch: s.epoch, fn: fn, index: -1}
+	*e = Event{time: t, epoch: s.epoch, fn: fn}
+	s.pending.push(queued{time: t, seq: s.seq, e: e})
 	s.seq++
-	heap.Push(&s.pending, e)
 	return Handle{e: e, epoch: s.epoch}
 }
 
@@ -261,10 +311,11 @@ func (s *Sim) SchedulePayload(delay float64, fn func(Payload), arg Payload) Hand
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("des: invalid delay %v", delay))
 	}
+	t := s.now + delay
 	e := s.newEvent()
-	*e = Event{time: s.now + delay, seq: s.seq, epoch: s.epoch, pfn: fn, parg: arg, index: -1}
+	*e = Event{time: t, epoch: s.epoch, pfn: fn, parg: arg}
+	s.pending.push(queued{time: t, seq: s.seq, e: e})
 	s.seq++
-	heap.Push(&s.pending, e)
 	return Handle{e: e, epoch: s.epoch}
 }
 
@@ -275,7 +326,7 @@ func (s *Sim) Stop() { s.stopped = true }
 // events remain.
 func (s *Sim) Step() bool {
 	for len(s.pending) > 0 {
-		e := heap.Pop(&s.pending).(*Event)
+		e := s.pending.pop()
 		if e.cancelled {
 			continue
 		}
@@ -357,11 +408,11 @@ func (s *Sim) RunUntil(horizon float64, pred func() bool) (bool, error) {
 // discarding cancelled ones as it goes.
 func (s *Sim) peek() *Event {
 	for len(s.pending) > 0 {
-		e := s.pending[0]
+		e := s.pending[0].e
 		if !e.cancelled {
 			return e
 		}
-		heap.Pop(&s.pending)
+		s.pending.pop()
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"container/heap"
 	"errors"
 	"math"
 	"testing"
@@ -459,5 +460,109 @@ func TestResetRunCycleZeroAllocs(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("events did not fire")
+	}
+}
+
+// refEvent, refHeap and refSim are the pre-typed-heap scheduler kept as
+// an oracle: container/heap over event pointers ordered by (time, seq).
+type refEvent struct {
+	time      float64
+	seq       uint64
+	id        int
+	cancelled bool
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+type refSim struct {
+	now float64
+	seq uint64
+	h   refHeap
+}
+
+func (r *refSim) schedule(delay float64, id int) *refEvent {
+	e := &refEvent{time: r.now + delay, seq: r.seq, id: id}
+	r.seq++
+	heap.Push(&r.h, e)
+	return e
+}
+
+// step fires the earliest live event and returns its id (-1 when empty).
+func (r *refSim) step() int {
+	for r.h.Len() > 0 {
+		e := heap.Pop(&r.h).(*refEvent)
+		if e.cancelled {
+			continue
+		}
+		r.now = e.time
+		return e.id
+	}
+	return -1
+}
+
+// The typed value heap must fire exactly the events the container/heap
+// reference fires, in the same order, under random interleavings of
+// schedules (drawn from a handful of delays, so equal times are the
+// norm), cancellations and steps — including across Resets.
+func TestTypedHeapMatchesContainerHeapOracle(t *testing.T) {
+	delays := []float64{0, 0, 1, 1, 2, 0.5, 3}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		s := NewSim()
+		for epoch := 0; epoch < 3; epoch++ {
+			s.Reset()
+			ref := &refSim{}
+			fired := -1
+			var handles []Handle
+			var refs []*refEvent
+			for op := 0; op < 600; op++ {
+				switch k := r.Intn(10); {
+				case k < 5:
+					id := len(handles)
+					d := delays[r.Intn(len(delays))]
+					handles = append(handles, s.Schedule(d, func() { fired = id }))
+					refs = append(refs, ref.schedule(d, id))
+				case k < 7 && len(handles) > 0:
+					i := r.Intn(len(handles))
+					handles[i].Cancel()
+					refs[i].cancelled = true
+				default:
+					fired = -1
+					s.Step()
+					if want := ref.step(); fired != want {
+						t.Fatalf("seed %d epoch %d op %d: fired %d, oracle %d", seed, epoch, op, fired, want)
+					}
+					if s.Now() != ref.now {
+						t.Fatalf("seed %d epoch %d op %d: clock %v, oracle %v", seed, epoch, op, s.Now(), ref.now)
+					}
+				}
+			}
+			for want := ref.step(); want >= 0; want = ref.step() {
+				fired = -1
+				s.Step()
+				if fired != want {
+					t.Fatalf("seed %d epoch %d drain: fired %d, oracle %d", seed, epoch, fired, want)
+				}
+			}
+			if s.Step() {
+				t.Fatalf("seed %d epoch %d: typed heap fired past the oracle", seed, epoch)
+			}
+		}
 	}
 }

@@ -238,6 +238,9 @@ type Problem struct {
 	// per replication attempt before the campaign runs. Unexported — the
 	// public search surface has no business observing replications.
 	repHook func(c Candidate, rep int)
+	// canarySeed replaces the stale-science canary's stream seed when
+	// non-zero: the store tests' seam for changing the canary's result.
+	canarySeed uint64
 }
 
 // normalize fills defaults in place.
@@ -629,7 +632,9 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		defer store.Close()
 		ev.store = store
 		ev.topoFP = p.Topo.Fingerprint()
-		ev.specFP = evalSpecDigest(&p)
+		if ev.specFP, err = evalSpecDigest(&p); err != nil {
+			return nil, err
+		}
 		if ev.sink != nil {
 			ev.sink.Emit(telemetry.StoreWarmStart{Path: opts.StorePath, Evaluations: store.Len()})
 		}

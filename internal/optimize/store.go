@@ -1,8 +1,12 @@
 package optimize
 
 import (
+	"fmt"
+
 	"diversify/internal/digest"
 	"diversify/internal/evalstore"
+	"diversify/internal/malware"
+	"diversify/internal/topology"
 )
 
 // evalSpecDigest hashes everything OUTSIDE the candidate that shapes an
@@ -14,7 +18,12 @@ import (
 // the optimizer does with measurements, not the measurements themselves,
 // which is exactly why a re-optimization under a tweaked budget or
 // objective can warm-start from the store.
-func evalSpecDigest(p *Problem) uint64 {
+//
+// The inputs say what was asked, not how the simulator answers, so the
+// digest also folds in the stale-science canary (runCanary): a store
+// written by an engine that measures differently starts cold instead of
+// serving its measurements.
+func evalSpecDigest(p *Problem) (uint64, error) {
 	d := digest.New()
 	d.Str("diversify/evalspec/v1")
 	d.U64(p.Catalog.Fingerprint())
@@ -23,7 +32,49 @@ func evalSpecDigest(p *Problem) uint64 {
 	d.U64(uint64(p.Reps))
 	d.U64(p.Seed)
 	d.Str(string(p.FirewallVariant))
-	return d.Sum()
+	canary, err := runCanary(p)
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range canary {
+		for _, v := range m {
+			d.F64(v)
+		}
+	}
+	return d.Sum(), nil
+}
+
+// The stale-science canary: a fixed, tiny, seeded evaluation on the
+// reference tiered plant (about two dozen nodes) under the problem's
+// catalog, profile and firewall override. It costs about a millisecond
+// and runs only when a store is attached.
+const (
+	canaryReps        = 4
+	canaryHorizon     = 720
+	defaultCanarySeed = 0xC4A21
+)
+
+// runCanary returns the canary's per-replication measurement vectors.
+func runCanary(p *Problem) ([]evalstore.Measurements, error) {
+	seed := p.canarySeed
+	if seed == 0 {
+		seed = defaultCanarySeed
+	}
+	outs, err := malware.Evaluate(malware.EvalSpec{
+		Config: malware.Config{
+			Topo: topology.NewTieredSCADA(topology.DefaultTieredSpec()), Catalog: p.Catalog,
+			Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+		},
+		Horizon: canaryHorizon, Reps: canaryReps, Workers: 1, Seed: seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("stale-science canary: %w", err)
+	}
+	meas := make([]evalstore.Measurements, len(outs))
+	for i, out := range outs {
+		meas[i] = measure(out)
+	}
+	return meas, nil
 }
 
 // digestProfile folds the malware profile in. Distributions contribute

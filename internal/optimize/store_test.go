@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"diversify/internal/rotation"
 )
@@ -246,5 +247,56 @@ func TestStoreIgnoresMismatchedSpec(t *testing.T) {
 	}
 	if other.Stats.StorePuts == 0 {
 		t.Fatal("run under a different seed stored nothing")
+	}
+}
+
+// The stale-science canary keys the store on how the simulator answers,
+// not only on what was asked: re-running against the same store is
+// fully warm, while a canary that measures differently (here: through
+// its seed seam, standing in for a changed engine) makes every stored
+// measurement unservable.
+func TestStoreCanaryKeysMeasurements(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "evals.store")
+	o, _ := ByName("greedy")
+	if _, err := RunWith(context.Background(), testProblem(61), o, RunOptions{StorePath: store}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := RunWith(context.Background(), testProblem(61), o, RunOptions{StorePath: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.StoreHits < again.CacheMisses || again.Stats.StorePuts != 0 {
+		t.Fatalf("same-canary re-run: %d store hits for %d evaluations and %d fresh puts, want fully warm",
+			again.Stats.StoreHits, again.CacheMisses, again.Stats.StorePuts)
+	}
+	stale := testProblem(61)
+	stale.canarySeed = defaultCanarySeed + 1
+	cold, err := RunWith(context.Background(), stale, o, RunOptions{StorePath: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Stats.StoreHits != 0 {
+		t.Fatalf("run under a different canary served %d store hits, want 0", cold.Stats.StoreHits)
+	}
+}
+
+// A canary that measures nothing guards nothing: on the test problem's
+// catalog and profile it must drive an attack that compromises nodes.
+// It runs on every store-attached RunWith, so its cost is logged.
+func TestCanaryExercisesEngine(t *testing.T) {
+	p := testProblem(61)
+	p.normalize()
+	start := time.Now()
+	meas, err := runCanary(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("canary took %v", time.Since(start))
+	compromised := 0.0
+	for _, m := range meas {
+		compromised += m[2] // final compromised ratio
+	}
+	if len(meas) != canaryReps || compromised == 0 {
+		t.Fatalf("canary ran %d replications with total compromised ratio %v", len(meas), compromised)
 	}
 }
