@@ -22,35 +22,59 @@ import (
 var ErrBadAssignment = errors.New("diversity: invalid assignment")
 
 // Assignment maps (node, class) to the variant installed there. It
-// overlays a topology's defaults: nodes absent from the overlay keep
-// their built-in components.
+// overlays a topology's defaults: pairs absent from the overlay keep
+// their built-in components. The overlay is one slice of entries kept
+// in canonical (node, class) order, at most one per pair: Set, Lookup
+// and Unset binary-search it, Clone copies it, Entries and Fingerprint
+// read it without sorting, and Each walks it alongside the plant.
 type Assignment struct {
-	overlay map[topology.NodeID]map[exploits.Class]exploits.VariantID
+	entries []Entry
 }
 
 // NewAssignment returns an empty overlay.
-func NewAssignment() *Assignment {
-	return &Assignment{overlay: map[topology.NodeID]map[exploits.Class]exploits.VariantID{}}
+func NewAssignment() *Assignment { return &Assignment{} }
+
+// compareSlots orders entries by (node, class), the overlay's key.
+func compareSlots(a, b Entry) int {
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Class, b.Class)
+}
+
+// find binary-searches the overlay for (node, class): it returns where
+// the pair sits, or would be inserted, and whether an entry is there.
+// The comparison is inline: slices.BinarySearchFunc with a compare
+// callback made Lookup, which every campaign attempt calls, about 2.5×
+// slower than the nested maps this slice replaced.
+func (a *Assignment) find(n topology.NodeID, c exploits.Class) (int, bool) {
+	lo, hi := 0, len(a.entries)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if e := &a.entries[h]; e.Node < n || e.Node == n && e.Class < c {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(a.entries) && a.entries[lo].Node == n && a.entries[lo].Class == c
 }
 
 // Set installs a variant for a node's component class.
 func (a *Assignment) Set(n topology.NodeID, c exploits.Class, v exploits.VariantID) *Assignment {
-	m, ok := a.overlay[n]
-	if !ok {
-		m = map[exploits.Class]exploits.VariantID{}
-		a.overlay[n] = m
+	if i, ok := a.find(n, c); ok {
+		a.entries[i].Variant = v
+	} else {
+		a.entries = slices.Insert(a.entries, i, Entry{Node: n, Class: c, Variant: v})
 	}
-	m[c] = v
 	return a
 }
 
 // SetClassEverywhere installs a variant for a class on every node of the
 // topology that carries that class by default.
 func (a *Assignment) SetClassEverywhere(t *topology.Topology, c exploits.Class, v exploits.VariantID) *Assignment {
-	for _, n := range t.Nodes() {
-		if _, has := n.Components[c]; has {
-			a.Set(n.ID, c, v)
-		}
+	for _, id := range eligible(t, c, nil) {
+		a.Set(id, c, v)
 	}
 	return a
 }
@@ -58,23 +82,72 @@ func (a *Assignment) SetClassEverywhere(t *topology.Topology, c exploits.Class, 
 // Lookup resolves the assignment for (node, class); ok is false when the
 // overlay has no entry (callers fall back to topology defaults).
 func (a *Assignment) Lookup(n topology.NodeID, c exploits.Class) (exploits.VariantID, bool) {
-	if m, ok := a.overlay[n]; ok {
-		if v, ok := m[c]; ok {
-			return v, true
-		}
+	if i, ok := a.find(n, c); ok {
+		return a.entries[i].Variant, true
 	}
 	return "", false
 }
 
+// Unset removes the overlay decision for (node, class), restoring the
+// topology default there. Unsetting an absent entry is a no-op.
+func (a *Assignment) Unset(n topology.NodeID, c exploits.Class) {
+	if i, ok := a.find(n, c); ok {
+		a.entries = slices.Delete(a.entries, i, i+1)
+	}
+}
+
+// Restore puts back a Lookup result for (node, class): it sets v when ok
+// and unsets the pair otherwise, undoing whatever changed it since.
+func (a *Assignment) Restore(n topology.NodeID, c exploits.Class, v exploits.VariantID, ok bool) {
+	if ok {
+		a.Set(n, c, v)
+	} else {
+		a.Unset(n, c)
+	}
+}
+
 // Clone returns a deep copy.
 func (a *Assignment) Clone() *Assignment {
-	out := NewAssignment()
-	for n, m := range a.overlay {
-		for c, v := range m {
-			out.Set(n, c, v)
+	return &Assignment{entries: slices.Clone(a.entries)}
+}
+
+// Len returns the number of explicit (node, class) overlay decisions.
+func (a *Assignment) Len() int { return len(a.entries) }
+
+// Entries returns a copy of the overlay decisions in canonical (node,
+// class) order.
+func (a *Assignment) Entries() []Entry { return slices.Clone(a.entries) }
+
+// Each visits every class each node of t carries, nodes in ID order and
+// classes ascending within a node, with the node's default variant def
+// and the variant v it runs under the overlay (the overlay's decision
+// where there is one, else def). It advances through the plant and the
+// sorted overlay together, so it looks nothing up. Overlay entries on
+// classes a node does not carry are not visited. A nil assignment visits
+// the topology defaults.
+func (a *Assignment) Each(t *topology.Topology, visit func(n topology.NodeID, c exploits.Class, def, v exploits.VariantID)) {
+	var overlay []Entry
+	if a != nil {
+		overlay = a.entries
+	}
+	var buf [8]Entry // one per defined class: no node spills to the heap
+	for _, n := range t.Nodes() {
+		carried := buf[:0]
+		for c, def := range n.Components {
+			carried = append(carried, Entry{Node: n.ID, Class: c, Variant: def})
+		}
+		slices.SortFunc(carried, compareSlots)
+		for _, d := range carried {
+			for len(overlay) > 0 && compareSlots(overlay[0], d) < 0 {
+				overlay = overlay[1:]
+			}
+			v := d.Variant
+			if len(overlay) > 0 && compareSlots(overlay[0], d) == 0 {
+				v = overlay[0].Variant
+			}
+			visit(n.ID, d.Class, d.Variant, v)
 		}
 	}
-	return out
 }
 
 // Func adapts the assignment to the callback shape the malware campaign
@@ -108,14 +181,12 @@ type Profile struct {
 // ProfileOf computes the class profile across nodes carrying the class.
 func ProfileOf(t *topology.Topology, a *Assignment, c exploits.Class) Profile {
 	p := Profile{Class: c, Counts: map[exploits.VariantID]int{}}
-	for _, n := range t.Nodes() {
-		v, ok := EffectiveVariant(a, n, c)
-		if !ok {
-			continue
+	a.Each(t, func(_ topology.NodeID, class exploits.Class, _, v exploits.VariantID) {
+		if class == c {
+			p.Counts[v]++
+			p.Total++
 		}
-		p.Counts[v]++
-		p.Total++
-	}
+	})
 	return p
 }
 
@@ -159,29 +230,41 @@ type CostModel struct {
 	NodeCost     float64 // per node deviating from the topology default
 }
 
-// Cost evaluates the model over the classes present in the topology.
+// Cost evaluates the model over the classes present in the topology, in
+// one walk of the plant: the platform terms are summed first, class by
+// class in the order classes first appear in the walk, and NodeCost is
+// then added once per node deviating from its default.
 func (cm CostModel) Cost(t *topology.Topology, a *Assignment) float64 {
-	classes := map[exploits.Class]bool{}
-	for _, n := range t.Nodes() {
-		for c := range n.Components {
-			classes[c] = true
-		}
+	type classVariants struct {
+		class    exploits.Class
+		variants []exploits.VariantID // distinct, first-seen order
 	}
+	var buf [8]classVariants
+	seen := buf[:0]
+	deviations := 0
+	a.Each(t, func(_ topology.NodeID, c exploits.Class, def, v exploits.VariantID) {
+		i := 0
+		for i < len(seen) && seen[i].class != c {
+			i++
+		}
+		if i == len(seen) {
+			seen = append(seen, classVariants{class: c})
+		}
+		if !slices.Contains(seen[i].variants, v) {
+			seen[i].variants = append(seen[i].variants, v)
+		}
+		if v != def {
+			deviations++
+		}
+	})
 	total := 0.0
-	for c := range classes {
-		p := ProfileOf(t, a, c)
-		if d := p.Distinct(); d > 1 {
+	for _, s := range seen {
+		if d := len(s.variants); d > 1 {
 			total += float64(d-1) * cm.PlatformCost
 		}
 	}
-	if a != nil {
-		for _, n := range t.Nodes() {
-			for c, def := range n.Components {
-				if v, ok := a.Lookup(n.ID, c); ok && v != def {
-					total += cm.NodeCost
-				}
-			}
-		}
+	for range deviations {
+		total += cm.NodeCost
 	}
 	return total
 }
@@ -193,11 +276,10 @@ func (cm CostModel) Cost(t *topology.Topology, a *Assignment) float64 {
 // system proper (hardening the attacker's entry PC is not a defense the
 // paper considers).
 
-// PlaceRandom hardens k random eligible nodes carrying the class,
-// assigning the resilient variant. Returns the chosen node IDs.
-func PlaceRandom(t *topology.Topology, a *Assignment, c exploits.Class,
-	resilient exploits.VariantID, k int, r *rng.Rand, filter func(topology.Node) bool) []topology.NodeID {
-	var eligible []topology.NodeID
+// eligible lists, in ID order, the nodes carrying the class that pass
+// the filter.
+func eligible(t *topology.Topology, c exploits.Class, filter func(topology.Node) bool) []topology.NodeID {
+	var out []topology.NodeID
 	for _, n := range t.Nodes() {
 		if _, has := n.Components[c]; !has {
 			continue
@@ -205,20 +287,33 @@ func PlaceRandom(t *topology.Topology, a *Assignment, c exploits.Class,
 		if filter != nil && !filter(n) {
 			continue
 		}
-		eligible = append(eligible, n.ID)
+		out = append(out, n.ID)
 	}
-	if k > len(eligible) {
-		k = len(eligible)
-	}
-	perm := r.Perm(len(eligible))
-	chosen := make([]topology.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		id := eligible[perm[i]]
+	return out
+}
+
+// harden installs the resilient variant on every chosen node and returns
+// the chosen IDs sorted.
+func harden(a *Assignment, c exploits.Class, resilient exploits.VariantID, chosen []topology.NodeID) []topology.NodeID {
+	for _, id := range chosen {
 		a.Set(id, c, resilient)
-		chosen = append(chosen, id)
 	}
 	slices.Sort(chosen)
 	return chosen
+}
+
+// PlaceRandom hardens k random eligible nodes carrying the class,
+// assigning the resilient variant. Returns the chosen node IDs.
+func PlaceRandom(t *topology.Topology, a *Assignment, c exploits.Class,
+	resilient exploits.VariantID, k int, r *rng.Rand, filter func(topology.Node) bool) []topology.NodeID {
+	ids := eligible(t, c, filter)
+	k = min(k, len(ids))
+	perm := r.Perm(len(ids))
+	chosen := make([]topology.NodeID, k)
+	for i := range chosen {
+		chosen[i] = ids[perm[i]]
+	}
+	return harden(a, c, resilient, chosen)
 }
 
 // PlaceStrategic hardens the k most path-central eligible nodes carrying
@@ -228,45 +323,7 @@ func PlaceRandom(t *topology.Topology, a *Assignment, c exploits.Class,
 func PlaceStrategic(t *topology.Topology, a *Assignment, c exploits.Class,
 	resilient exploits.VariantID, k int, entries, targets []topology.NodeID,
 	filter func(topology.Node) bool) []topology.NodeID {
-	type scored struct {
-		id    topology.NodeID
-		score float64
-	}
-	cuts := map[topology.NodeID]bool{}
-	for _, id := range t.ArticulationPoints() {
-		cuts[id] = true
-	}
-	pathScores := t.OnPathScores(entries, targets)
-	var candidates []scored
-	for _, n := range t.Nodes() {
-		if _, has := n.Components[c]; !has {
-			continue
-		}
-		if filter != nil && !filter(n) {
-			continue
-		}
-		s := float64(pathScores[n.ID])
-		if cuts[n.ID] {
-			s += 1000 // articulation points dominate
-		}
-		candidates = append(candidates, scored{id: n.ID, score: s})
-	}
-	slices.SortFunc(candidates, func(a, b scored) int {
-		if c := cmp.Compare(b.score, a.score); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	chosen := make([]topology.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		a.Set(candidates[i].id, c, resilient)
-		chosen = append(chosen, candidates[i].id)
-	}
-	slices.Sort(chosen)
-	return chosen
+	return placeRanked(t, a, c, resilient, k, entries, targets, filter, true)
 }
 
 // PlaceWorst hardens the k least path-central eligible nodes (leaf-most).
@@ -274,45 +331,49 @@ func PlaceStrategic(t *topology.Topology, a *Assignment, c exploits.Class,
 func PlaceWorst(t *topology.Topology, a *Assignment, c exploits.Class,
 	resilient exploits.VariantID, k int, entries, targets []topology.NodeID,
 	filter func(topology.Node) bool) []topology.NodeID {
+	return placeRanked(t, a, c, resilient, k, entries, targets, filter, false)
+}
+
+// placeRanked ranks the eligible nodes by path centrality (on-path score
+// between entries and targets, plus 1000 for an articulation point) and
+// hardens the first k: the most central when mostCentral is set, else
+// the least. Ties go to the lower node ID either way.
+func placeRanked(t *topology.Topology, a *Assignment, c exploits.Class,
+	resilient exploits.VariantID, k int, entries, targets []topology.NodeID,
+	filter func(topology.Node) bool, mostCentral bool) []topology.NodeID {
+	type scored struct {
+		id    topology.NodeID
+		score float64
+	}
 	cuts := map[topology.NodeID]bool{}
 	for _, id := range t.ArticulationPoints() {
 		cuts[id] = true
 	}
 	pathScores := t.OnPathScores(entries, targets)
-	type scored struct {
-		id    topology.NodeID
-		score float64
+	ids := eligible(t, c, filter)
+	candidates := make([]scored, len(ids))
+	for i, id := range ids {
+		s := float64(pathScores[id])
+		if cuts[id] {
+			s += 1000 // articulation points dominate
+		}
+		candidates[i] = scored{id: id, score: s}
 	}
-	var candidates []scored
-	for _, n := range t.Nodes() {
-		if _, has := n.Components[c]; !has {
-			continue
+	slices.SortFunc(candidates, func(x, y scored) int {
+		c := cmp.Compare(x.score, y.score)
+		if mostCentral {
+			c = -c
 		}
-		if filter != nil && !filter(n) {
-			continue
-		}
-		s := float64(pathScores[n.ID])
-		if cuts[n.ID] {
-			s += 1000
-		}
-		candidates = append(candidates, scored{id: n.ID, score: s})
-	}
-	slices.SortFunc(candidates, func(a, b scored) int {
-		if c := cmp.Compare(a.score, b.score); c != 0 {
+		if c != 0 {
 			return c
 		}
-		return cmp.Compare(a.id, b.id)
+		return cmp.Compare(x.id, y.id)
 	})
-	if k > len(candidates) {
-		k = len(candidates)
+	chosen := make([]topology.NodeID, min(k, len(candidates)))
+	for i := range chosen {
+		chosen[i] = candidates[i].id
 	}
-	chosen := make([]topology.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		a.Set(candidates[i].id, c, resilient)
-		chosen = append(chosen, candidates[i].id)
-	}
-	slices.Sort(chosen)
-	return chosen
+	return harden(a, c, resilient, chosen)
 }
 
 // SpreadVariants distributes up to k distinct variants of a class
@@ -338,13 +399,8 @@ func SpreadVariants(t *topology.Topology, a *Assignment, cat *exploits.Catalog,
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	idx := 0
-	for _, n := range t.Nodes() {
-		if _, has := n.Components[c]; !has {
-			continue
-		}
-		a.Set(n.ID, c, variants[idx%k].ID)
-		idx++
+	for i, id := range eligible(t, c, nil) {
+		a.Set(id, c, variants[i%k].ID)
 	}
 	return nil
 }

@@ -17,58 +17,23 @@ type Entry struct {
 	Variant exploits.VariantID
 }
 
-// compareEntries orders entries by (node, class, variant) — the canonical
-// order Entries and Fingerprint use.
+// compareEntries orders entries by (node, class, variant), the order
+// EnumerateOptions returns.
 func compareEntries(a, b Entry) int {
-	if c := cmp.Compare(a.Node, b.Node); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+	if c := compareSlots(a, b); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.Variant, b.Variant)
 }
 
-// Entries returns the overlay decisions in canonical (node, class) order.
-func (a *Assignment) Entries() []Entry {
-	out := make([]Entry, 0, a.Len())
-	for n, m := range a.overlay {
-		for c, v := range m {
-			out = append(out, Entry{Node: n, Class: c, Variant: v})
-		}
-	}
-	slices.SortFunc(out, compareEntries)
-	return out
-}
-
-// Len returns the number of explicit (node, class) overlay decisions.
-func (a *Assignment) Len() int {
-	n := 0
-	for _, m := range a.overlay {
-		n += len(m)
-	}
-	return n
-}
-
-// Unset removes the overlay decision for (node, class), restoring the
-// topology default there. Unsetting an absent entry is a no-op.
-func (a *Assignment) Unset(n topology.NodeID, c exploits.Class) {
-	if m, ok := a.overlay[n]; ok {
-		delete(m, c)
-		if len(m) == 0 {
-			delete(a.overlay, n)
-		}
-	}
-}
-
 // Fingerprint returns a deterministic 64-bit digest of the overlay (an
-// FNV-1a hash over the canonically ordered entries). Two assignments with
-// identical decisions share a fingerprint regardless of insertion order,
-// which is what lets the optimizer's evaluation cache recognize a
-// candidate it has already simulated.
+// FNV-1a hash over the entries in their canonical order). Two
+// assignments with identical decisions share a fingerprint regardless of
+// insertion order, which is what lets the optimizer's evaluation cache
+// recognize a candidate it has already simulated.
 func (a *Assignment) Fingerprint() uint64 {
 	h := digest.New()
-	for _, e := range a.Entries() {
+	for _, e := range a.entries {
 		h.U64(uint64(e.Node))
 		h.Byte(byte(e.Class))
 		h.Raw(string(e.Variant))

@@ -38,8 +38,8 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// Entries must come back in canonical order; Unset must prune empty
-// node maps; Len must count decisions.
+// Entries must come back in canonical order; Unset must drop the
+// decision; Len must count decisions.
 func TestEntriesUnsetLen(t *testing.T) {
 	a := NewAssignment().
 		Set(5, exploits.ClassOS, exploits.OSWin7).

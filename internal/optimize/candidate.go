@@ -1,6 +1,8 @@
 package optimize
 
 import (
+	"slices"
+
 	"diversify/internal/digest"
 	"diversify/internal/diversity"
 	"diversify/internal/exploits"
@@ -59,43 +61,28 @@ func zoneViolations(p *Problem, a *diversity.Assignment, buf []diversity.Entry) 
 	if p.MaxPerZone <= 0 {
 		return out
 	}
-	counts := map[zoneClass]map[exploits.VariantID]bool{}
-	for _, n := range p.Topo.Nodes() {
-		for class := range n.Components {
-			v, ok := diversity.EffectiveVariant(a, n, class)
-			if !ok {
-				continue
-			}
-			key := zoneClass{zone: n.Zone, class: class}
-			set := counts[key]
-			if set == nil {
-				set = map[exploits.VariantID]bool{}
-				counts[key] = set
-			}
-			set[v] = true
-		}
-	}
-	if a == nil {
-		for _, set := range counts {
-			if len(set) > p.MaxPerZone {
-				// Sentinel: infeasible but nothing droppable. Callers treat
-				// any non-empty result as a violation.
-				return append(out, diversity.Entry{})
-			}
-		}
-		return out
-	}
 	nodes := p.Topo.Nodes()
-	for _, e := range a.Entries() {
-		if len(counts[zoneClass{zone: nodes[e.Node].Zone, class: e.Class}]) > p.MaxPerZone {
-			out = append(out, e)
+	groups := map[zoneClass][]exploits.VariantID{} // distinct effective variants
+	a.Each(p.Topo, func(n topology.NodeID, c exploits.Class, _, v exploits.VariantID) {
+		key := zoneClass{zone: nodes[n].Zone, class: c}
+		if vs := groups[key]; !slices.Contains(vs, v) {
+			groups[key] = append(vs, v)
+		}
+	})
+	if a != nil {
+		for _, e := range a.Entries() {
+			if len(groups[zoneClass{zone: nodes[e.Node].Zone, class: e.Class}]) > p.MaxPerZone {
+				out = append(out, e)
+			}
 		}
 	}
 	if len(out) == 0 {
 		// The overlay contributes no entry to an oversized group, but the
 		// base itself may violate (validated against at problem setup).
-		for _, set := range counts {
-			if len(set) > p.MaxPerZone {
+		// Sentinel: infeasible but nothing droppable. Callers treat any
+		// non-empty result as a violation.
+		for _, vs := range groups {
+			if len(vs) > p.MaxPerZone {
 				return append(out, diversity.Entry{})
 			}
 		}

@@ -81,20 +81,12 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 				if err != nil {
 					// Undo the tentative option so the incumbents returned on
 					// cancellation are real accepted rounds, not a probe state.
-					if had {
-						current.A.Set(opt.Node, opt.Class, prev)
-					} else {
-						current.A.Unset(opt.Node, opt.Class)
-					}
+					current.A.Restore(opt.Node, opt.Class, prev, had)
 					return trace, incumbents, err
 				}
 				consider(s, i, current.Rot)
 			}
-			if had {
-				current.A.Set(opt.Node, opt.Class, prev)
-			} else {
-				current.A.Unset(opt.Node, opt.Class)
-			}
+			current.A.Restore(opt.Node, opt.Class, prev, had)
 		}
 		// Schedule switches: pair the incumbent placement with every other
 		// schedule (and with none).

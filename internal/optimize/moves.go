@@ -121,16 +121,8 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 			v1, has1 := a.Lookup(n1, class)
 			v2, has2 := a.Lookup(n2, class)
 			if has1 || has2 { // swapping two defaults is a no-op
-				if has2 {
-					a.Set(n1, class, v2)
-				} else {
-					a.Unset(n1, class)
-				}
-				if has1 {
-					a.Set(n2, class, v1)
-				} else {
-					a.Unset(n2, class)
-				}
+				a.Restore(n1, class, v2, has2)
+				a.Restore(n2, class, v1, has1)
 				return fmt.Sprintf("swap %s %s↔%s", class, nodes[n1].Name, nodes[n2].Name)
 			}
 		}

@@ -893,11 +893,7 @@ func randomFill(p *Problem, r *rng.Rand) *diversity.Assignment {
 		prev, had := a.Lookup(opt.Node, opt.Class)
 		opt.Apply(a)
 		if p.Cost.Cost(p.Topo, a) > p.Budget+budgetEps {
-			if had {
-				a.Set(opt.Node, opt.Class, prev)
-			} else {
-				a.Unset(opt.Node, opt.Class)
-			}
+			a.Restore(opt.Node, opt.Class, prev, had)
 		}
 	}
 	return a
