@@ -130,19 +130,14 @@ func (a *Assignment) Each(t *topology.Topology, visit func(n topology.NodeID, c 
 	if a != nil {
 		overlay = a.entries
 	}
-	var buf [8]Entry // one per defined class: no node spills to the heap
 	for _, n := range t.Nodes() {
-		carried := buf[:0]
-		for c, def := range n.Components {
-			carried = append(carried, Entry{Node: n.ID, Class: c, Variant: def})
-		}
-		slices.SortFunc(carried, compareSlots)
-		for _, d := range carried {
-			for len(overlay) > 0 && compareSlots(overlay[0], d) < 0 {
+		for _, d := range n.Components {
+			slot := Entry{Node: n.ID, Class: d.Class}
+			for len(overlay) > 0 && compareSlots(overlay[0], slot) < 0 {
 				overlay = overlay[1:]
 			}
 			v := d.Variant
-			if len(overlay) > 0 && compareSlots(overlay[0], d) == 0 {
+			if len(overlay) > 0 && compareSlots(overlay[0], slot) == 0 {
 				v = overlay[0].Variant
 			}
 			visit(n.ID, d.Class, d.Variant, v)
@@ -166,8 +161,7 @@ func EffectiveVariant(a *Assignment, n topology.Node, c exploits.Class) (exploit
 			return v, true
 		}
 	}
-	v, ok := n.Components[c]
-	return v, ok
+	return n.Component(c)
 }
 
 // Profile summarizes the variant mix of one component class across a
@@ -281,7 +275,7 @@ func (cm CostModel) Cost(t *topology.Topology, a *Assignment) float64 {
 func eligible(t *topology.Topology, c exploits.Class, filter func(topology.Node) bool) []topology.NodeID {
 	var out []topology.NodeID
 	for _, n := range t.Nodes() {
-		if _, has := n.Components[c]; !has {
+		if _, has := n.Component(c); !has {
 			continue
 		}
 		if filter != nil && !filter(n) {

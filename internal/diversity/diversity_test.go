@@ -83,7 +83,7 @@ func TestProfileIndices(t *testing.T) {
 	a := NewAssignment()
 	count := 0
 	for _, n := range topo.Nodes() {
-		if _, has := n.Components[exploits.ClassOS]; !has {
+		if _, has := n.Component(exploits.ClassOS); !has {
 			continue
 		}
 		if count%2 == 0 {
@@ -198,7 +198,7 @@ func TestPlaceStrategicPrefersCutNodes(t *testing.T) {
 		minChosen = math.Min(minChosen, score(id))
 	}
 	for _, n := range topo.Nodes() {
-		if _, has := n.Components[exploits.ClassOS]; !has {
+		if _, has := n.Component(exploits.ClassOS); !has {
 			continue
 		}
 		isChosen := false

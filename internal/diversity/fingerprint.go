@@ -68,7 +68,7 @@ func EnumerateOptions(t *topology.Topology, cat *exploits.Catalog,
 			continue
 		}
 		for _, c := range classes {
-			def, has := n.Components[c]
+			def, has := n.Component(c)
 			if !has {
 				continue
 			}

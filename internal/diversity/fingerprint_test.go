@@ -91,7 +91,7 @@ func TestEnumerateOptions(t *testing.T) {
 		if n.Kind == topology.KindCorporatePC {
 			t.Fatal("filtered node in option space")
 		}
-		def, has := n.Components[exploits.ClassOS]
+		def, has := n.Component(exploits.ClassOS)
 		if !has {
 			t.Fatalf("node %s does not carry OS", n.Name)
 		}

@@ -71,8 +71,7 @@ func (r refAssignment) effective(n topology.Node, c exploits.Class) (exploits.Va
 	if v, ok := r.lookup(n.ID, c); ok {
 		return v, true
 	}
-	v, ok := n.Components[c]
-	return v, ok
+	return n.Component(c)
 }
 
 // refProfile is the per-class census over every node, as ProfileOf
@@ -92,8 +91,8 @@ func (r refAssignment) refProfile(t *topology.Topology, c exploits.Class) map[ex
 func (r refAssignment) refCost(cm CostModel, t *topology.Topology) float64 {
 	classes := map[exploits.Class]bool{}
 	for _, n := range t.Nodes() {
-		for c := range n.Components {
-			classes[c] = true
+		for _, comp := range n.Components {
+			classes[comp.Class] = true
 		}
 	}
 	total := 0.0
@@ -103,8 +102,8 @@ func (r refAssignment) refCost(cm CostModel, t *topology.Topology) float64 {
 		}
 	}
 	for _, n := range t.Nodes() {
-		for c, def := range n.Components {
-			if v, ok := r.lookup(n.ID, c); ok && v != def {
+		for _, comp := range n.Components {
+			if v, ok := r.lookup(n.ID, comp.Class); ok && v != comp.Variant {
 				total += cm.NodeCost
 			}
 		}
@@ -128,7 +127,8 @@ func carriedSlots(t *topology.Topology, cat *exploits.Catalog) ([]Entry, map[exp
 	var slots []Entry
 	variants := map[exploits.Class][]exploits.VariantID{}
 	for _, n := range t.Nodes() {
-		for c, def := range n.Components {
+		for _, comp := range n.Components {
+			c, def := comp.Class, comp.Variant
 			slots = append(slots, Entry{Node: n.ID, Class: c})
 			if !slices.Contains(variants[c], def) {
 				variants[c] = append(variants[c], def)
@@ -173,7 +173,7 @@ func checkAgainstRef(t *testing.T, topo *topology.Topology, a *Assignment, ref r
 	nodes := topo.Nodes()
 	var visited []Entry
 	a.Each(topo, func(n topology.NodeID, c exploits.Class, def, v exploits.VariantID) {
-		if want := nodes[n].Components[c]; def != want {
+		if want, _ := nodes[n].Component(c); def != want {
 			t.Fatalf("Each default for (%d, %v) = %q, want %q", n, c, def, want)
 		}
 		visited = append(visited, Entry{Node: n, Class: c, Variant: v})
@@ -284,7 +284,7 @@ func TestUncarriedEntryMovesNeitherProfileNorCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, carries := node.Components[exploits.ClassOS]; carries {
+	if _, carries := node.Component(exploits.ClassOS); carries {
 		t.Fatal("test premise: PLCs carry no OS")
 	}
 	cm := CostModel{PlatformCost: 100, NodeCost: 10}

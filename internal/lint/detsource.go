@@ -110,8 +110,8 @@ func isRandGlobal(obj types.Object) bool {
 // later statement in the same function sorts out. Map iteration order
 // is randomized per run, so the appended order leaks into whatever out
 // becomes — a return value, a serialized store record — unless a
-// sort restores a canonical order (topology.Fingerprint's
-// collect-then-slices.Sort of a node's classes is the blessed shape).
+// sort restores a canonical order (topology.AddNode's
+// collect-then-slices.SortFunc of a node's classes is the blessed shape).
 // Index writes and scalar accumulation inside map ranges are
 // order-insensitive and not flagged.
 // Findings go through report so both detsource (per-package) and the

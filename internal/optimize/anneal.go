@@ -58,7 +58,7 @@ func (*Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Ran
 		}
 		cand := current.Clone()
 		action := ms.mutate(&cand, r)
-		if cost := ev.Cost(cand); cost > p.Budget+budgetEps {
+		if cost := ev.Cost(cand); !p.withinBudget(cost) {
 			// Infeasible proposals are rejected without spending
 			// replications; Value keeps the incumbent's value.
 			trace = append(trace, TraceStep{

@@ -19,7 +19,8 @@ func refZoneViolations(p *Problem, a *diversity.Assignment) []diversity.Entry {
 	var out []diversity.Entry
 	counts := map[zoneClass]map[exploits.VariantID]bool{}
 	for _, n := range p.Topo.Nodes() {
-		for class := range n.Components {
+		for _, comp := range n.Components {
+			class := comp.Class
 			v, _ := diversity.EffectiveVariant(a, n, class)
 			key := zoneClass{zone: n.Zone, class: class}
 			if counts[key] == nil {

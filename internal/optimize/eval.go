@@ -438,11 +438,11 @@ func (e *Evaluator) explain(label string, c Candidate, sample float64) (trace.Ex
 // candidate, remaining ties keep the earliest evaluated (deterministic).
 // The baseline is always in the archive, so the result is never worse
 // than it.
-func (e *Evaluator) bestFeasible(budget float64) (Score, Candidate, uint64) {
+func (e *Evaluator) bestFeasible() (Score, Candidate, uint64) {
 	var best archived
 	found := false
 	for _, c := range e.archive {
-		if c.score.Cost > budget+budgetEps || !c.zoneOK || c.score.Quarantined {
+		if !e.p.withinBudget(c.score.Cost) || !c.zoneOK || c.score.Quarantined {
 			continue
 		}
 		better := !found || c.score.Value < best.score.Value ||

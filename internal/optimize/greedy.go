@@ -76,7 +76,7 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 			}
 			prev, had := current.A.Lookup(opt.Node, opt.Class)
 			opt.Apply(current.A)
-			if ev.Cost(current) <= p.Budget+budgetEps && ev.ZoneOK(current.A) {
+			if p.withinBudget(ev.Cost(current)) && ev.ZoneOK(current.A) {
 				s, err := ev.Score(current)
 				if err != nil {
 					// Undo the tentative option so the incumbents returned on
@@ -95,7 +95,7 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 				continue
 			}
 			cand := Candidate{A: current.A, Rot: rot}
-			if ev.Cost(cand) > p.Budget+budgetEps {
+			if !p.withinBudget(ev.Cost(cand)) {
 				continue
 			}
 			s, err := ev.Score(cand)

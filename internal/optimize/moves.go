@@ -141,7 +141,7 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 // MaxPerZone constraint holds. The base configuration is zone-feasible
 // by problem validation, so both loops terminate.
 func (ms *moveSpace) repair(c *Candidate, ev *Evaluator, r *rng.Rand) {
-	for ev.Cost(*c) > ms.p.Budget+budgetEps {
+	for !ms.p.withinBudget(ev.Cost(*c)) {
 		entries := c.A.Entries()
 		n := len(entries)
 		if c.Rot >= 0 {

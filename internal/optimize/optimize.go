@@ -651,7 +651,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		}
 		degraded = "search interrupted: " + err.Error()
 	}
-	best, bestC, bestFP := ev.bestFeasible(p.Budget)
+	best, bestC, bestFP := ev.bestFeasible()
 	if bestC.A == nil {
 		// The baseline is always archived, so this means even the starting
 		// assignment exceeds the budget — a zero-valued Best would read as
@@ -833,7 +833,7 @@ func compareVec(a, b []float64) int {
 func paretoFront(p *Problem, ev *Evaluator) []ParetoPoint {
 	cands := make([]pind, 0, len(ev.archive))
 	for _, c := range ev.archive {
-		if c.score.Cost <= p.Budget+budgetEps && c.zoneOK && !c.score.Quarantined {
+		if p.withinBudget(c.score.Cost) && c.zoneOK && !c.score.Quarantined {
 			cands = append(cands, pind{c: c.cand, s: c.score, fp: c.fingerprint, vec: objVec(p.Axes, c.score)})
 		}
 	}
@@ -878,6 +878,10 @@ func paretoFront(p *Problem, ev *Evaluator) []ParetoPoint {
 // budgetEps absorbs float accumulation error in cost comparisons.
 const budgetEps = 1e-9
 
+// withinBudget is the one budget test every strategy, repair and
+// harvest applies. A NaN cost is never within budget.
+func (p *Problem) withinBudget(cost float64) bool { return cost <= p.Budget+budgetEps }
+
 // randomFill applies resilience-improving options in uniformly random
 // order, keeping every one that stays within budget — the PlaceRandom
 // policy ("spread hardening at random") the case study compares against
@@ -892,7 +896,7 @@ func randomFill(p *Problem, r *rng.Rand) *diversity.Assignment {
 		opt := upgrades[idx]
 		prev, had := a.Lookup(opt.Node, opt.Class)
 		opt.Apply(a)
-		if p.Cost.Cost(p.Topo, a) > p.Budget+budgetEps {
+		if !p.withinBudget(p.Cost.Cost(p.Topo, a)) {
 			a.Restore(opt.Node, opt.Class, prev, had)
 		}
 	}
@@ -905,7 +909,7 @@ func upgradeOptions(p *Problem) []diversity.Option {
 	nodes := p.Topo.Nodes()
 	var out []diversity.Option
 	for _, opt := range p.Options {
-		def, ok := nodes[opt.Node].Components[opt.Class]
+		def, ok := nodes[opt.Node].Component(opt.Class)
 		if !ok {
 			continue
 		}

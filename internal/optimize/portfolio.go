@@ -48,7 +48,7 @@ func (*Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.
 	// (the greedy incumbent — placement AND schedule — or the baseline
 	// when greedy found nothing).
 	seeded := *p
-	if _, bestC, _ := ev.bestFeasible(p.Budget); bestC.A != nil {
+	if _, bestC, _ := ev.bestFeasible(); bestC.A != nil {
 		seeded.Base = bestC.A
 		seeded.BaseRotation = bestC.Rot + 1
 	}
@@ -60,7 +60,7 @@ func (*Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.
 
 	// Genetic restarts from the CURRENT best (annealing may have improved
 	// on greedy), seeding its population with the strongest incumbent.
-	if _, bestC, _ := ev.bestFeasible(p.Budget); bestC.A != nil {
+	if _, bestC, _ := ev.bestFeasible(); bestC.A != nil {
 		seeded.Base = bestC.A
 		seeded.BaseRotation = bestC.Rot + 1
 	}
@@ -70,7 +70,7 @@ func (*Portfolio) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.
 		return trace, err
 	}
 
-	best, _, fp := ev.bestFeasible(p.Budget)
+	best, _, fp := ev.bestFeasible()
 	trace = append(trace, TraceStep{
 		Iter:     len(trace),
 		Action:   fmt.Sprintf("portfolio best %016x", fp),

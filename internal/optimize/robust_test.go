@@ -68,7 +68,7 @@ func TestPanicQuarantinesCandidate(t *testing.T) {
 		t.Fatalf("healthy score diverged after a quarantine:\n got %+v\nwant %+v", after, want)
 	}
 	// Extraction never surfaces the quarantined candidate.
-	if _, bestC, _ := ev.bestFeasible(p.Budget); bestC.A != nil {
+	if _, bestC, _ := ev.bestFeasible(); bestC.A != nil {
 		if bestC.A.Fingerprint() == poison.A.Fingerprint() {
 			t.Fatal("bestFeasible returned a quarantined candidate")
 		}

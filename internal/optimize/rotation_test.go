@@ -131,7 +131,8 @@ func checkMaxPerZone(t *testing.T, topo *topology.Topology, a *diversity.Assignm
 	t.Helper()
 	counts := map[zoneClass]map[exploits.VariantID]bool{}
 	for _, n := range topo.Nodes() {
-		for class := range n.Components {
+		for _, comp := range n.Components {
+			class := comp.Class
 			v, ok := diversity.EffectiveVariant(a, n, class)
 			if !ok {
 				continue

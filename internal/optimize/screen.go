@@ -60,7 +60,7 @@ func screenScores(p *Problem) []float64 {
 	scores := make([]float64, len(p.Options))
 	for i, opt := range p.Options {
 		gain := 0.0
-		if def, ok := nodes[opt.Node].Components[opt.Class]; ok {
+		if def, ok := nodes[opt.Node].Component(opt.Class); ok {
 			dv, okD := p.Catalog.Variant(def)
 			nv, okN := p.Catalog.Variant(opt.Variant)
 			if okD && okN {

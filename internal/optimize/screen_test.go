@@ -36,7 +36,8 @@ func TestScreenScoresShape(t *testing.T) {
 		return v.Resilience
 	}
 	gain := func(opt diversity.Option) float64 {
-		return res(opt.Variant) - res(nodes[opt.Node].Components[opt.Class])
+		def, _ := nodes[opt.Node].Component(opt.Class)
+		return res(opt.Variant) - res(def)
 	}
 	var bestCutUpgrade, bestLeafUpgrade, bestDowngrade float64
 	seenCut, seenLeaf, seenDown := false, false, false

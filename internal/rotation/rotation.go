@@ -311,7 +311,7 @@ func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profil
 	for _, n := range topo.Nodes() {
 		carries := false
 		for _, class := range spec.Classes {
-			if _, ok := n.Components[class]; ok {
+			if _, ok := n.Component(class); ok {
 				carries = true
 				break
 			}

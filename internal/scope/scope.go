@@ -507,7 +507,7 @@ func (cs *CaseStudy) OptimizePlacement(budget, nodeCost, plcCost float64,
 		if n.Zone == topology.ZoneCorporate {
 			continue
 		}
-		if _, hasOS := n.Components[exploits.ClassOS]; hasOS {
+		if _, hasOS := n.Component(exploits.ClassOS); hasOS {
 			moves = append(moves, diversity.Move{
 				Name: "harden-" + n.Name, Cost: nodeCost,
 				Apply: func(a *diversity.Assignment) {

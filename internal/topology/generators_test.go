@@ -41,7 +41,7 @@ func TestHistorianVariantClassMatches(t *testing.T) {
 		if n.Kind != KindHistorian {
 			continue
 		}
-		id, ok := n.Components[exploits.ClassHistorian]
+		id, ok := n.Component(exploits.ClassHistorian)
 		if !ok {
 			t.Fatalf("historian node %q has no Historian component", n.Name)
 		}
@@ -104,7 +104,7 @@ func TestMeshedGridDeterministic(t *testing.T) {
 	sprinkled := NewMeshedGrid(spec)
 	changed := 0
 	for _, n := range sprinkled.Nodes() {
-		if v, ok := n.Components[exploits.ClassOS]; ok && v != spec.DefaultOS {
+		if v, ok := n.Component(exploits.ClassOS); ok && v != spec.DefaultOS {
 			changed++
 		}
 	}
@@ -198,7 +198,7 @@ func TestMeshedGridNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtu, _ := partial.Node(partial.NodesOfKind(KindPLC)[0])
-	if rtu.Components[exploits.ClassPLCFirmware] != exploits.PLCABB {
+	if v, _ := rtu.Component(exploits.ClassPLCFirmware); v != exploits.PLCABB {
 		t.Fatal("explicit DefaultPLC overridden by normalization")
 	}
 }
@@ -214,6 +214,27 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if a.Fingerprint() != NewPowerGrid(DefaultPowerGridSpec()).Fingerprint() {
 		t.Fatal("identical builds fingerprint differently")
+	}
+}
+
+// The built-in plants' fingerprints key every evaluation store, so a
+// change to the hashed byte sequence would silently turn every existing
+// store cold. These values must only change together with the store's
+// spec tag.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo *Topology
+		want uint64
+	}{
+		{"tiered", NewTieredSCADA(DefaultTieredSpec()), 0x8fbc7aa601d1d244},
+		{"powergrid", NewPowerGrid(DefaultPowerGridSpec()), 0xfcd93cd68f8cc880},
+		{"grid:60", NewMeshedGrid(DefaultMeshedGridSpec(60)), 0xcc1fb6a906738f1e},
+		{"grid:400", NewMeshedGrid(DefaultMeshedGridSpec(400)), 0xea05aaae7fedbfde},
+	} {
+		if got := tc.topo.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -138,15 +138,32 @@ func (m Medium) Carries(v exploits.Vector) bool {
 	}
 }
 
-// Node is one system element. Components maps each diversifiable class to
-// the concrete variant installed (the diversity configuration overlays
-// these defaults).
+// Node is one system element. Components lists each diversifiable class
+// the node carries with the concrete variant installed, ascending by
+// class with at most one entry per class (the diversity configuration
+// overlays these defaults). The slice is shared; treat as read-only.
 type Node struct {
 	ID         NodeID
 	Name       string
 	Kind       Kind
 	Zone       Zone
-	Components map[exploits.Class]exploits.VariantID
+	Components []Component
+}
+
+// Component is one class a node carries and the variant installed for it.
+type Component struct {
+	Class   exploits.Class
+	Variant exploits.VariantID
+}
+
+// Component returns the variant the node carries for class c.
+func (n *Node) Component(c exploits.Class) (exploits.VariantID, bool) {
+	for _, comp := range n.Components {
+		if comp.Class == c {
+			return comp.Variant, true
+		}
+	}
+	return "", false
 }
 
 // Link is an undirected edge. Firewalled links carry the variant of the
@@ -200,13 +217,15 @@ func New() *Topology {
 }
 
 // AddNode declares a node and returns its ID. The components map is
-// copied.
+// copied into the node's class-sorted Components list; this is the one
+// place a node's classes are ordered.
 func (t *Topology) AddNode(name string, kind Kind, zone Zone, components map[exploits.Class]exploits.VariantID) NodeID {
 	id := NodeID(len(t.nodes))
-	comp := make(map[exploits.Class]exploits.VariantID, len(components))
-	for k, v := range components {
-		comp[k] = v
+	comp := make([]Component, 0, len(components))
+	for c, v := range components {
+		comp = append(comp, Component{Class: c, Variant: v})
 	}
+	slices.SortFunc(comp, func(a, b Component) int { return cmp.Compare(a.Class, b.Class) })
 	t.nodes = append(t.nodes, Node{ID: id, Name: name, Kind: kind, Zone: zone, Components: comp})
 	t.adj = append(t.adj, nil)
 	t.sealed.Store(nil)
@@ -347,13 +366,8 @@ func (t *Topology) ValidateComponents(cat *exploits.Catalog) error {
 		return errors.New("topology: ValidateComponents requires a catalog")
 	}
 	for _, n := range t.nodes {
-		classes := make([]exploits.Class, 0, len(n.Components))
-		for c := range n.Components {
-			classes = append(classes, c)
-		}
-		slices.Sort(classes)
-		for _, c := range classes {
-			id := n.Components[c]
+		for _, comp := range n.Components {
+			c, id := comp.Class, comp.Variant
 			v, ok := cat.Variant(id)
 			if !ok {
 				return fmt.Errorf("topology: node %q: %v variant %q is not in the catalog", n.Name, c, id)
@@ -393,15 +407,10 @@ func (t *Topology) Fingerprint() uint64 {
 		h.Str(n.Name)
 		h.Byte(byte(n.Kind))
 		h.Byte(byte(n.Zone))
-		classes := make([]exploits.Class, 0, len(n.Components))
-		for c := range n.Components {
-			classes = append(classes, c)
-		}
-		slices.Sort(classes)
-		h.U64(uint64(len(classes)))
-		for _, c := range classes {
-			h.Byte(byte(c))
-			h.Str(string(n.Components[c]))
+		h.U64(uint64(len(n.Components)))
+		for _, comp := range n.Components {
+			h.Byte(byte(comp.Class))
+			h.Str(string(comp.Variant))
 		}
 	}
 	h.U64(uint64(len(t.links)))

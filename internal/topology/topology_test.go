@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"diversify/internal/exploits"
@@ -33,17 +36,37 @@ func TestAddAndLookup(t *testing.T) {
 	}
 }
 
+// AddNode copies the components map into a class-sorted list: Component
+// agrees with the map for every class, carried or not, and later writes
+// to the map leave the node unchanged.
 func TestComponentsCopied(t *testing.T) {
 	tp := New()
-	src := map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWin7}
+	src := map[exploits.Class]exploits.VariantID{
+		exploits.ClassProtocol:    exploits.ProtoModbusStd,
+		exploits.ClassOS:          exploits.OSWin7,
+		exploits.ClassHistorian:   exploits.HistPI,
+		exploits.ClassHMISoftware: exploits.HMIWinCC,
+	}
+	want := maps.Clone(src)
 	id := tp.AddNode("x", KindHMI, ZoneControl, src)
 	src[exploits.ClassOS] = exploits.OSWinXPSP2
+	src[exploits.ClassDevice] = exploits.OSWin7
+	delete(src, exploits.ClassHistorian)
 	n, err := tp.Node(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Components[exploits.ClassOS] != exploits.OSWin7 {
-		t.Fatal("AddNode did not copy the components map")
+	if len(n.Components) != len(want) {
+		t.Fatalf("Components = %v, want %d entries", n.Components, len(want))
+	}
+	if !slices.IsSortedFunc(n.Components, func(a, b Component) int { return cmp.Compare(a.Class, b.Class) }) {
+		t.Fatalf("Components not ascending by class: %v", n.Components)
+	}
+	for c := exploits.Class(0); c <= exploits.ClassDevice+1; c++ {
+		wv, wok := want[c]
+		if v, ok := n.Component(c); v != wv || ok != wok {
+			t.Fatalf("Component(%v) = %q %v, want %q %v", c, v, ok, wv, wok)
+		}
 	}
 }
 
@@ -212,8 +235,8 @@ func TestTieredSCADAStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Components[exploits.ClassPLCFirmware] != spec.DefaultPLC {
-			t.Fatalf("PLC %d firmware = %v", id, n.Components[exploits.ClassPLCFirmware])
+		if v, _ := n.Component(exploits.ClassPLCFirmware); v != spec.DefaultPLC {
+			t.Fatalf("PLC %d firmware = %v", id, v)
 		}
 	}
 	// The corporate↔control link is firewalled.
