@@ -58,43 +58,30 @@ func (*Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Ran
 		}
 		cand := current.Clone()
 		action := ms.mutate(&cand, r)
-		if cost := ev.Cost(cand); !p.withinBudget(cost) {
-			// Infeasible proposals are rejected without spending
-			// replications; Value keeps the incumbent's value.
-			trace = append(trace, TraceStep{
-				Iter: it, Action: action + " [over budget]",
-				Cost: cost, Value: cur.Value, Best: best, Accepted: false,
-			})
-			ev.noteRound("anneal", &trace[len(trace)-1], 0)
-			temp *= alpha
-			continue
-		}
-		if !ev.ZoneOK(cand.A) {
-			// Same fast rejection for zone-constraint violations.
-			trace = append(trace, TraceStep{
-				Iter: it, Action: action + " [zone cap]",
-				Cost: cur.Cost, Value: cur.Value, Best: best, Accepted: false,
-			})
-			ev.noteRound("anneal", &trace[len(trace)-1], 0)
-			temp *= alpha
-			continue
-		}
 		s, err := ev.Score(cand)
 		if err != nil {
 			return trace, err
 		}
-		delta := s.Value - cur.Value
-		accepted := delta <= 0 || r.Float64() < math.Exp(-delta/temp)
-		if accepted {
-			current, cur = cand, s
-			if cur.Value < best {
-				best = cur.Value
+		// A refused (infeasible) proposal spent no replications: its step
+		// keeps the incumbent's value and draws nothing from r.
+		step := TraceStep{Iter: it, Action: action, Cost: s.Cost, Value: s.Value}
+		switch s.refused {
+		case overBudget:
+			step.Action, step.Value = action+" [over budget]", cur.Value
+		case overZoneCap:
+			step.Action, step.Cost, step.Value = action+" [zone cap]", cur.Cost, cur.Value
+		default:
+			delta := s.Value - cur.Value
+			step.Accepted = delta <= 0 || r.Float64() < math.Exp(-delta/temp)
+			if step.Accepted {
+				current, cur = cand, s
+				if cur.Value < best {
+					best = cur.Value
+				}
 			}
 		}
-		trace = append(trace, TraceStep{
-			Iter: it, Action: action,
-			Cost: s.Cost, Value: s.Value, Best: best, Accepted: accepted,
-		})
+		step.Best = best
+		trace = append(trace, step)
 		ev.noteRound("anneal", &trace[len(trace)-1], 0)
 		temp *= alpha
 	}

@@ -19,23 +19,27 @@ import (
 	"diversify/internal/trace"
 )
 
-// archived is one archived evaluation (the candidate snapshot feeds the
-// Pareto front and best-candidate extraction).
+// archived is one feasible evaluation (Score archives nothing else); the
+// candidate snapshot feeds the Pareto front and best-candidate extraction.
 type archived struct {
 	fingerprint uint64
 	cand        Candidate
 	score       Score
-	// zoneOK caches the MaxPerZone feasibility verdict, so extraction and
-	// front-building never surface a constraint-violating candidate the
-	// search happened to evaluate.
-	zoneOK bool
 }
 
-// quarantineValue is the objective value assigned to quarantined
+// infeasibleValue is the objective value of quarantined and refused
 // candidates: finite (so JSON encoding and value comparisons stay
 // well-defined) but worse than any measurable score, so no strategy ever
-// prefers a quarantined candidate.
-const quarantineValue = math.MaxFloat64
+// prefers one.
+const infeasibleValue = math.MaxFloat64
+
+// refusal is why Score declined a candidate (zero: it did not).
+type refusal uint8
+
+const (
+	overBudget  refusal = iota + 1 // its cost exceeds the budget
+	overZoneCap                    // it breaks the MaxPerZone cap
+)
 
 // Evaluator turns candidates into Scores by Monte-Carlo campaign
 // simulation. It owns
@@ -163,8 +167,8 @@ func newEvaluator(p *Problem) (*Evaluator, error) {
 }
 
 // Cost prices a candidate without simulating it — the placement cost
-// plus the schedule's planned rotation cost. Strategies use it to
-// screen infeasible moves before spending replications.
+// plus the schedule's planned rotation cost. Score applies it (with
+// ZoneOK) to every new candidate; repair uses it to shed cost.
 func (e *Evaluator) Cost(c Candidate) float64 {
 	cost := e.p.Cost.Cost(e.p.Topo, c.A)
 	if c.Rot >= 0 {
@@ -198,9 +202,12 @@ func (e *Evaluator) engines(rot int) ([]*rotation.Engine, error) {
 }
 
 // Score evaluates a candidate, consulting the fingerprint cache first.
-// The returned Score is identical for identical candidates regardless of
-// evaluation order or worker count. The candidate is snapshotted, so the
-// caller may keep mutating it.
+// It is the one feasibility gate: a new candidate over budget or over
+// MaxPerZone comes back refused (its cost, infeasibleValue) and is not
+// counted, cached, archived, emitted or simulated. The returned Score is
+// identical for identical candidates regardless of evaluation order or
+// worker count. The candidate is snapshotted, so the caller may keep
+// mutating it.
 //
 //diversify:hotpath the memoized hit path runs once per search step; new escapes here tax every strategy
 func (e *Evaluator) Score(c Candidate) (Score, error) {
@@ -211,6 +218,13 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 	if s, ok := e.cache[fp]; ok {
 		e.hits++
 		return s, nil
+	}
+	cost := e.Cost(c)
+	if !e.p.withinBudget(cost) {
+		return Score{Cost: cost, Value: infeasibleValue, refused: overBudget}, nil
+	}
+	if !e.ZoneOK(c.A) {
+		return Score{Cost: cost, Value: infeasibleValue, refused: overZoneCap}, nil
 	}
 	e.misses++
 	var s Score
@@ -229,7 +243,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			// An earlier run quarantined this candidate: serve the verdict
 			// instead of replaying its panics.
 			e.quarantined++
-			s = Score{Value: quarantineValue, Quarantined: true}
+			s = Score{Value: infeasibleValue, Quarantined: true}
 			stored = true
 		}
 		if stored {
@@ -256,7 +270,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			// cached as infeasible so the search keeps moving and never
 			// revisits it — instead of killing the whole run.
 			e.quarantined++
-			s = Score{Value: quarantineValue, Quarantined: true}
+			s = Score{Value: infeasibleValue, Quarantined: true}
 			e.persist(fp, nil)
 		} else if err != nil {
 			return Score{}, err
@@ -272,14 +286,9 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			}
 		}
 	}
-	s.Cost = e.Cost(c)
+	s.Cost = cost
 	e.cache[fp] = s
-	e.archive = append(e.archive, archived{
-		fingerprint: fp,
-		cand:        c.Clone(),
-		score:       s,
-		zoneOK:      e.ZoneOK(c.A),
-	})
+	e.archive = append(e.archive, archived{fingerprint: fp, cand: c.Clone(), score: s})
 	return s, nil
 }
 
@@ -433,16 +442,16 @@ func (e *Evaluator) explain(label string, c Candidate, sample float64) (trace.Ex
 	}), nil
 }
 
-// bestFeasible returns the best archived candidate within budget (and
-// within the zone constraint); equal values prefer the cheaper
-// candidate, remaining ties keep the earliest evaluated (deterministic).
-// The baseline is always in the archive, so the result is never worse
-// than it.
+// bestFeasible returns the best archived candidate that is not
+// quarantined (the archive holds only feasible ones); equal values
+// prefer the cheaper candidate, remaining ties keep the earliest
+// evaluated (deterministic). The baseline is always in the archive, so
+// the result is never worse than it.
 func (e *Evaluator) bestFeasible() (Score, Candidate, uint64) {
 	var best archived
 	found := false
 	for _, c := range e.archive {
-		if !e.p.withinBudget(c.score.Cost) || !c.zoneOK || c.score.Quarantined {
+		if c.score.Quarantined {
 			continue
 		}
 		better := !found || c.score.Value < best.score.Value ||

@@ -33,7 +33,9 @@ type goldenCase struct {
 
 // goldenCases pins the optimizer's `-json` output: all five strategies on
 // static placement, all five on the placement × schedule space under the
-// foothold objective, and greedy with trace explanations. Worker-count
+// foothold objective, greedy with trace explanations, and anneal and
+// greedy under a per-zone variant cap of 2 (which pins the anneal
+// trace's "[zone cap]" rejections). Worker-count
 // invariance and clean-vs-resumed identity only compare the optimizer
 // with itself; these files compare it with a fixed answer.
 func goldenCases() []goldenCase {
@@ -50,7 +52,13 @@ func goldenCases() []goldenCase {
 	}
 	traced := goldenConfig("greedy")
 	traced.TraceSample = 0.25
-	return append(cases, goldenCase{"greedy-trace", traced})
+	cases = append(cases, goldenCase{"greedy-trace", traced})
+	for _, s := range []string{"anneal", "greedy"} {
+		cfg := goldenConfig(s)
+		cfg.MaxPerZone = 2
+		cases = append(cases, goldenCase{s + "-zone2", cfg})
+	}
+	return cases
 }
 
 func TestOptimizerGoldens(t *testing.T) {

@@ -60,6 +60,7 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 		found := false
 		bestRatio := 0.0
 		var bestScore Score
+		// consider skips refused candidates: infeasibleValue shows no gain.
 		consider := func(s Score, idx, rot int) {
 			if gain := cur.Value - s.Value; gain > 0 {
 				ratio := gain / math.Max(s.Cost-cur.Cost, 1e-9)
@@ -76,17 +77,14 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 			}
 			prev, had := current.A.Lookup(opt.Node, opt.Class)
 			opt.Apply(current.A)
-			if p.withinBudget(ev.Cost(current)) && ev.ZoneOK(current.A) {
-				s, err := ev.Score(current)
-				if err != nil {
-					// Undo the tentative option so the incumbents returned on
-					// cancellation are real accepted rounds, not a probe state.
-					current.A.Restore(opt.Node, opt.Class, prev, had)
-					return trace, incumbents, err
-				}
-				consider(s, i, current.Rot)
-			}
+			s, err := ev.Score(current)
+			// Undo the probe first, so the incumbents returned on
+			// cancellation are real accepted rounds.
 			current.A.Restore(opt.Node, opt.Class, prev, had)
+			if err != nil {
+				return trace, incumbents, err
+			}
+			consider(s, i, current.Rot)
 		}
 		// Schedule switches: pair the incumbent placement with every other
 		// schedule (and with none).
@@ -94,11 +92,7 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 			if rot == current.Rot {
 				continue
 			}
-			cand := Candidate{A: current.A, Rot: rot}
-			if !p.withinBudget(ev.Cost(cand)) {
-				continue
-			}
-			s, err := ev.Score(cand)
+			s, err := ev.Score(Candidate{A: current.A, Rot: rot})
 			if err != nil {
 				return trace, incumbents, err
 			}

@@ -204,9 +204,9 @@ type Problem struct {
 	BaseRotation int
 	// MaxPerZone, when positive, constrains every topology zone to at
 	// most MaxPerZone distinct effective variants per component class —
-	// the fleet-management bound beyond the budget. Enforced in greedy
-	// feasibility, annealing proposals and genetic/NSGA-II repair; the
-	// base configuration must satisfy it.
+	// the fleet-management bound beyond the budget. Enforced by
+	// Evaluator.Score and genetic/NSGA-II repair; the base configuration
+	// must satisfy it.
 	MaxPerZone int
 	// Horizon is the campaign observation window in hours (default 720).
 	Horizon float64
@@ -369,6 +369,8 @@ type Score struct {
 	// measurement field except Cost is meaningless. Quarantined
 	// candidates never win and never enter the Pareto front.
 	Quarantined bool `json:"quarantined,omitempty"`
+	// refused is why Evaluator.Score declined the candidate (zero: scored).
+	refused refusal
 }
 
 // TraceStep is one recorded search step. The trace is part of the
@@ -422,7 +424,7 @@ type Result struct {
 	Objective string  `json:"objective"`
 	Budget    float64 `json:"budget"`
 	// Baseline scores the starting assignment; Random scores a uniform
-	// random feasible fill at the same budget (the PlaceRandom-style
+	// random fill within the budget and MaxPerZone (the PlaceRandom-style
 	// comparison the paper's case study argues against).
 	Baseline Score `json:"baseline"`
 	Random   Score `json:"random"`
@@ -477,9 +479,9 @@ type Result struct {
 }
 
 // Optimizer is one pluggable search strategy. Search explores the space
-// by calling ev.Score (memoized, budget-blind — strategies must check
-// ev.Cost themselves) and returns its step trace; Run extracts the best
-// feasible candidate from the evaluator archive afterwards.
+// by calling ev.Score (memoized, and refusing infeasible candidates, so
+// strategies need no pre-checks) and returns its step trace; Run
+// extracts the best candidate from the evaluator archive afterwards.
 //
 // Search must honor ctx: when it is cancelled (or its deadline passes),
 // the strategy stops at the next step boundary and returns the partial
@@ -643,6 +645,11 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 	if err != nil {
 		return nil, err
 	}
+	if baseline.refused != 0 {
+		// validate checked the base's zones, so its cost is over budget.
+		return nil, fmt.Errorf("%w: no feasible candidate — base assignment costs %.2f against budget %.2f",
+			ErrBadProblem, baseline.Cost, p.Budget)
+	}
 	degraded := ""
 	steps, err := o.Search(ctx, &p, ev, newSearchRand(p.Seed, o.Name()))
 	if err != nil {
@@ -653,11 +660,9 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 	}
 	best, bestC, bestFP := ev.bestFeasible()
 	if bestC.A == nil {
-		// The baseline is always archived, so this means even the starting
-		// assignment exceeds the budget — a zero-valued Best would read as
-		// a perfect free placement.
-		return nil, fmt.Errorf("%w: no feasible candidate — base assignment costs %.2f against budget %.2f",
-			ErrBadProblem, baseline.Cost, p.Budget)
+		// Every evaluation was quarantined — a zero-valued Best would read
+		// as a perfect free placement.
+		return nil, fmt.Errorf("%w: no feasible candidate — every evaluation was quarantined", ErrBadProblem)
 	}
 	// Snapshot the effort accounting before the comparison row below, so
 	// the random baseline's simulation is not billed to the strategy.
@@ -823,9 +828,9 @@ func compareVec(a, b []float64) int {
 	return 0
 }
 
-// paretoFront extracts the non-dominated feasible set from the
-// evaluator archive over the problem's axes — front 0 of NSGA-II's
-// non-dominated sort. Candidates harvested from the cache with
+// paretoFront extracts the non-dominated set from the evaluator archive
+// (feasible by construction) over the problem's axes — front 0 of
+// NSGA-II's non-dominated sort. Candidates harvested from the cache with
 // identical objective vectors (distinct assignments that measure the
 // same) are deduplicated, keeping the lowest fingerprint, and the front
 // is sorted by objective vector then fingerprint — so the -json output
@@ -833,7 +838,7 @@ func compareVec(a, b []float64) int {
 func paretoFront(p *Problem, ev *Evaluator) []ParetoPoint {
 	cands := make([]pind, 0, len(ev.archive))
 	for _, c := range ev.archive {
-		if p.withinBudget(c.score.Cost) && c.zoneOK && !c.score.Quarantined {
+		if !c.score.Quarantined {
 			cands = append(cands, pind{c: c.cand, s: c.score, fp: c.fingerprint, vec: objVec(p.Axes, c.score)})
 		}
 	}
@@ -883,9 +888,9 @@ const budgetEps = 1e-9
 func (p *Problem) withinBudget(cost float64) bool { return cost <= p.Budget+budgetEps }
 
 // randomFill applies resilience-improving options in uniformly random
-// order, keeping every one that stays within budget — the PlaceRandom
-// policy ("spread hardening at random") the case study compares against
-// strategic placement. The full option space also contains sideways and
+// order, keeping every one that stays within budget and MaxPerZone — the
+// PlaceRandom policy ("spread hardening at random") the case study
+// compares against strategic placement. The full option space also contains sideways and
 // downgrade switches the search may traverse; a random baseline drawing
 // those would be a strawman, so only upgrades qualify here.
 func randomFill(p *Problem, r *rng.Rand) *diversity.Assignment {
@@ -896,7 +901,7 @@ func randomFill(p *Problem, r *rng.Rand) *diversity.Assignment {
 		opt := upgrades[idx]
 		prev, had := a.Lookup(opt.Node, opt.Class)
 		opt.Apply(a)
-		if !p.withinBudget(p.Cost.Cost(p.Topo, a)) {
+		if !p.withinBudget(p.Cost.Cost(p.Topo, a)) || !zoneFeasible(p, a) {
 			a.Restore(opt.Node, opt.Class, prev, had)
 		}
 	}

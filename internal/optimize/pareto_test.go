@@ -64,7 +64,7 @@ func TestParetoPointsNonDominatedInArchive(t *testing.T) {
 		// feasible vector dominates is on the front, carried by the lowest
 		// fingerprint among the candidates measuring it.
 		feasible := func(c archived) bool {
-			return c.score.Cost <= p.Budget+budgetEps && c.zoneOK && !c.score.Quarantined
+			return c.score.Cost <= p.Budget+budgetEps && zoneFeasible(&p, c.cand.A) && !c.score.Quarantined
 		}
 		want := map[string]uint64{} // objective vector → lowest fingerprint
 		for _, c := range ev.archive {

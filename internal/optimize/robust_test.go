@@ -41,7 +41,7 @@ func TestPanicQuarantinesCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("poisoned candidate returned error instead of quarantine: %v", err)
 	}
-	if !s.Quarantined || s.Value != quarantineValue {
+	if !s.Quarantined || s.Value != infeasibleValue {
 		t.Fatalf("poisoned candidate not quarantined: %+v", s)
 	}
 	if ev.quarantined != 1 {

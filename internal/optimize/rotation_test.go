@@ -207,6 +207,15 @@ func TestMaxPerZoneProperty(t *testing.T) {
 			}
 		}
 	}
+	// The random comparison row is a feasible fill too.
+	for seed := uint64(1); seed <= 10; seed++ {
+		p := testProblem(seed)
+		p.MaxPerZone = 2
+		a := randomFill(&p, newSearchRand(p.Seed, "random-baseline"))
+		if err := checkMaxPerZone(t, p.Topo, a, p.MaxPerZone); err != nil {
+			t.Errorf("seed %d: random fill violates MaxPerZone: %v", seed, err)
+		}
+	}
 }
 
 // MaxPerZone=1 freezes every zone at its default monoculture: the only
@@ -223,6 +232,9 @@ func TestMaxPerZoneOneFreezesPlacement(t *testing.T) {
 	}
 	if len(res.Decisions) != 0 {
 		t.Fatalf("MaxPerZone=1 admitted %d placement decisions", len(res.Decisions))
+	}
+	if res.Random.Cost != 0 {
+		t.Fatalf("MaxPerZone=1 random fill costs %.2f, want the free base", res.Random.Cost)
 	}
 	// An infeasible BASE is rejected up front.
 	p = testProblem(4)
