@@ -115,6 +115,35 @@ func Root() time.Time { return helper() }
 	if !strings.Contains(got, "detreach") || !strings.Contains(got, "topology.Root -> topology.helper") {
 		t.Errorf("diagnostic missing analyzer or call chain:\n%s", got)
 	}
+
+	// The same read one package away: the call graph must follow the
+	// edge from the det-root into the callee's package.
+	dir = scratchModule(t, map[string]string{
+		"internal/diversity/cost.go": `package diversity
+
+import "time"
+
+func Cost() int64 { return time.Now().UnixNano() }
+`,
+		"internal/optimize/search.go": `package optimize
+
+import "diversify/internal/diversity"
+
+// Search is certified.
+//
+//diversify:det-root seeded check
+func Search() int64 { return diversity.Cost() }
+`,
+	})
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-C", dir, "./..."}, &out, &errOut); code != 1 {
+		t.Fatalf("cross-package run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+	}
+	got = out.String()
+	if !strings.Contains(got, "cost.go:5") || !strings.Contains(got, "detreach") || !strings.Contains(got, "optimize.Search -> diversity.Cost") {
+		t.Errorf("cross-package diagnostic missing file:line, analyzer or call chain:\n%s", got)
+	}
 }
 
 // TestSeededGuardedBy: an unlocked write to a guardedby field fails.

@@ -194,23 +194,18 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 	}
 }
 
-// TestIntegrationDiversityIndicesTrackCampaign ties the diversity metrics
-// to measured security: configurations with higher Simpson index must not
-// yield faster attacks on average (rank agreement, not exact calibration).
+// TestIntegrationDiversityIndicesTrackCampaign ties the diversity degree
+// to measured security: spreading more OS variants must not yield faster
+// attacks on average (rank agreement, not exact calibration).
 func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
-	type point struct {
-		simpson float64
-		tta     float64
-	}
-	var points []point
+	var ttas []float64
 	for _, k := range []int{1, 4} {
 		topo := topology.NewTieredSCADA(topology.DefaultTieredSpec())
 		assign := diversity.NewAssignment()
 		if err := diversity.SpreadVariants(topo, assign, cat, exploits.ClassOS, k); err != nil {
 			t.Fatal(err)
 		}
-		profile := diversity.ProfileOf(topo, assign, exploits.ClassOS)
 		outs := des.Replicate(60, 0, 17, func(rep int, r *rng.Rand) indicators.Outcome {
 			c, err := malware.NewCampaign(malware.Config{
 				Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(),
@@ -229,12 +224,9 @@ func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points = append(points, point{simpson: profile.SimpsonIndex(), tta: tta.Mean})
+		ttas = append(ttas, tta.Mean)
 	}
-	if points[1].simpson <= points[0].simpson {
-		t.Fatalf("Simpson index did not grow with k: %+v", points)
-	}
-	if points[1].tta <= points[0].tta {
-		t.Fatalf("higher diversity index but faster attack: %+v", points)
+	if ttas[1] <= ttas[0] {
+		t.Fatalf("k=4 attacks no slower than the monoculture: mean TTA %v", ttas)
 	}
 }

@@ -239,57 +239,6 @@ func Analyze(d *doe.Design, responses [][]float64, opt Options) (*Table, error) 
 	return tbl, nil
 }
 
-// OneWay runs a one-way ANOVA over groups (unequal sizes allowed).
-func OneWay(groups [][]float64) (*Table, error) {
-	if len(groups) < 2 {
-		return nil, fmt.Errorf("%w: need >= 2 groups", ErrBadInput)
-	}
-	n := 0
-	grand := 0.0
-	for i, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("%w: group %d is empty", ErrBadInput, i)
-		}
-		for _, v := range g {
-			grand += v
-			n++
-		}
-	}
-	grand /= float64(n)
-	ssBetween, ssTotal := 0.0, 0.0
-	for _, g := range groups {
-		mean := stats.Mean(g)
-		ssBetween += float64(len(g)) * (mean - grand) * (mean - grand)
-		for _, v := range g {
-			ssTotal += (v - grand) * (v - grand)
-		}
-	}
-	ssWithin := ssTotal - ssBetween
-	dfB := len(groups) - 1
-	dfW := n - len(groups)
-	row := Row{Source: "between", DF: dfB, SS: ssBetween, MS: ssBetween / float64(dfB)}
-	if ssTotal > 0 {
-		row.Eta2 = ssBetween / ssTotal
-	}
-	tbl := &Table{
-		Effects: []Row{row},
-		Error:   Row{Source: "error", DF: dfW, SS: ssWithin},
-		Total:   Row{Source: "total", DF: n - 1, SS: ssTotal},
-	}
-	if dfW > 0 {
-		msW := ssWithin / float64(dfW)
-		tbl.Error.MS = msW
-		if msW > 0 {
-			tbl.Effects[0].F = row.MS / msW
-			p, err := stats.FSurvival(tbl.Effects[0].F, float64(dfB), float64(dfW))
-			if err == nil {
-				tbl.Effects[0].P = p
-			}
-		}
-	}
-	return tbl, nil
-}
-
 // Effect is a two-level factorial effect estimate (mean(hi) − mean(lo)).
 type Effect struct {
 	Factor   string

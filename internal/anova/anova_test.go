@@ -17,10 +17,14 @@ func almost(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
+// A one-factor design is a one-way ANOVA: groups lo={1,2,3} and
+// hi={2,3,4} give SS_between = 1.5, SS_within = 4, F = 1.5 / (4/4) = 1.5.
 func TestOneWayHandComputed(t *testing.T) {
-	// Groups A={1,2,3}, B={2,3,4}: SS_between = 1.5, SS_within = 4,
-	// F = 1.5 / (4/4) = 1.5.
-	tbl, err := OneWay([][]float64{{1, 2, 3}, {2, 3, 4}})
+	d, err := doe.FullFactorial(doe.TwoLevelFactors(1, []string{"A"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Analyze(d, [][]float64{{1, 2, 3}, {2, 3, 4}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +36,6 @@ func TestOneWayHandComputed(t *testing.T) {
 	}
 	if tbl.Effects[0].P < 0.25 || tbl.Effects[0].P > 0.3 {
 		t.Fatalf("p = %v, want ~0.288", tbl.Effects[0].P)
-	}
-}
-
-func TestOneWayErrors(t *testing.T) {
-	if _, err := OneWay([][]float64{{1, 2}}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("single group accepted")
-	}
-	if _, err := OneWay([][]float64{{1}, {}}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("empty group accepted")
 	}
 }
 

@@ -3,10 +3,9 @@
 // for example, Bayesian networks, Petri-nets, or attack trees").
 //
 // A tree's leaves are elementary attack steps with a success probability
-// and an attempt-duration distribution; internal nodes combine children
-// with AND (all required, attempted in parallel), OR (any suffices),
-// SAND (sequential AND: children attempted in order, abort on first
-// failure) and K-of-N gates.
+// and an attempt-duration distribution; internal nodes are AND gates
+// (all children required, attempted in parallel), the shape of the
+// paper's §I example: an attack that must compromise every machine.
 //
 // Two evaluations are provided: an exact bottom-up success probability
 // under the independence assumption (which reproduces the paper's §I
@@ -18,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"diversify/internal/rng"
 )
@@ -34,9 +31,6 @@ type Kind int
 const (
 	Leaf Kind = iota + 1
 	And
-	Or
-	SeqAnd
-	KofN
 )
 
 func (k Kind) String() string {
@@ -45,23 +39,16 @@ func (k Kind) String() string {
 		return "LEAF"
 	case And:
 		return "AND"
-	case Or:
-		return "OR"
-	case SeqAnd:
-		return "SAND"
-	case KofN:
-		return "KofN"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
-// Node is a tree node. Construct with the NewLeaf/NewAnd/... helpers and
-// treat as immutable afterwards except via WithLeafProbs.
+// Node is a tree node. Construct with NewLeaf/NewAnd and treat as
+// immutable afterwards.
 type Node struct {
 	Name     string
 	Kind     Kind
-	K        int // threshold for KofN
 	Children []*Node
 	Prob     float64  // leaf success probability
 	Time     rng.Dist // leaf attempt duration; nil means instantaneous
@@ -77,22 +64,6 @@ func NewAnd(name string, children ...*Node) *Node {
 	return &Node{Name: name, Kind: And, Children: children}
 }
 
-// NewOr returns an OR gate over children.
-func NewOr(name string, children ...*Node) *Node {
-	return &Node{Name: name, Kind: Or, Children: children}
-}
-
-// NewSeqAnd returns a sequential-AND gate: children are attempted in
-// order and the attack aborts at the first failure.
-func NewSeqAnd(name string, children ...*Node) *Node {
-	return &Node{Name: name, Kind: SeqAnd, Children: children}
-}
-
-// NewKofN returns a gate that succeeds when at least k children succeed.
-func NewKofN(name string, k int, children ...*Node) *Node {
-	return &Node{Name: name, Kind: KofN, K: k, Children: children}
-}
-
 // Tree wraps a root node.
 type Tree struct {
 	Root *Node
@@ -102,8 +73,7 @@ type Tree struct {
 func New(root *Node) *Tree { return &Tree{Root: root} }
 
 // Validate checks structure: leaves have probabilities in [0,1] and no
-// children; gates have children; KofN thresholds are meaningful; names are
-// unique (cut sets and rebinding rely on names).
+// children; gates have children; names are unique.
 func (t *Tree) Validate() error {
 	if t.Root == nil {
 		return fmt.Errorf("%w: nil root", ErrInvalidTree)
@@ -126,14 +96,9 @@ func (t *Tree) Validate() error {
 			if n.Prob < 0 || n.Prob > 1 || math.IsNaN(n.Prob) {
 				return fmt.Errorf("%w: leaf %q probability %v outside [0,1]", ErrInvalidTree, n.Name, n.Prob)
 			}
-		case And, Or, SeqAnd:
+		case And:
 			if len(n.Children) == 0 {
 				return fmt.Errorf("%w: gate %q has no children", ErrInvalidTree, n.Name)
-			}
-		case KofN:
-			if n.K < 1 || n.K > len(n.Children) {
-				return fmt.Errorf("%w: KofN gate %q has k=%d with %d children",
-					ErrInvalidTree, n.Name, n.K, len(n.Children))
 			}
 		default:
 			return fmt.Errorf("%w: node %q has unknown kind %d", ErrInvalidTree, n.Name, n.Kind)
@@ -148,46 +113,6 @@ func (t *Tree) Validate() error {
 	return walk(t.Root)
 }
 
-// Leaves returns the tree's leaves in depth-first order.
-func (t *Tree) Leaves() []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Kind == Leaf {
-			out = append(out, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
-	return out
-}
-
-// WithLeafProbs returns a deep copy of the tree with leaf probabilities
-// replaced according to probs (keyed by leaf name). Leaves not present in
-// probs keep their probability. This is the binding point for diversity
-// configurations: the same structural model evaluated under different
-// per-component exploitabilities.
-func (t *Tree) WithLeafProbs(probs map[string]float64) *Tree {
-	var cp func(n *Node) *Node
-	cp = func(n *Node) *Node {
-		nn := &Node{Name: n.Name, Kind: n.Kind, K: n.K, Prob: n.Prob, Time: n.Time}
-		if p, ok := probs[n.Name]; ok && n.Kind == Leaf {
-			nn.Prob = p
-		}
-		nn.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			nn.Children[i] = cp(c)
-		}
-		return nn
-	}
-	return &Tree{Root: cp(t.Root)}
-}
-
 // SuccessProbability computes the exact success probability of the root
 // under the independence assumption.
 func (t *Tree) SuccessProbability() float64 {
@@ -196,37 +121,12 @@ func (t *Tree) SuccessProbability() float64 {
 		switch n.Kind {
 		case Leaf:
 			return n.Prob
-		case And, SeqAnd:
+		case And:
 			p := 1.0
 			for _, c := range n.Children {
 				p *= eval(c)
 			}
 			return p
-		case Or:
-			q := 1.0
-			for _, c := range n.Children {
-				q *= 1 - eval(c)
-			}
-			return 1 - q
-		case KofN:
-			// Dynamic programming over "at least j successes".
-			probs := make([]float64, len(n.Children))
-			for i, c := range n.Children {
-				probs[i] = eval(c)
-			}
-			dp := make([]float64, len(probs)+1)
-			dp[0] = 1
-			for _, p := range probs {
-				for j := len(dp) - 1; j >= 1; j-- {
-					dp[j] = dp[j]*(1-p) + dp[j-1]*p
-				}
-				dp[0] *= 1 - p
-			}
-			total := 0.0
-			for j := n.K; j < len(dp); j++ {
-				total += dp[j]
-			}
-			return total
 		default:
 			return 0
 		}
@@ -241,11 +141,8 @@ type Outcome struct {
 }
 
 // Sample draws one attack attempt. Timing semantics: a leaf takes a draw
-// from its duration distribution whether or not it succeeds; AND and KofN
-// children run in parallel (duration = max over attempted children); OR
-// children run in parallel (duration = min over successful children, or
-// max over all on failure); SAND children run sequentially and abort at
-// the first failure (duration = sum of attempted children).
+// from its duration distribution whether or not it succeeds; AND
+// children run in parallel (duration = max over attempted children).
 func (t *Tree) Sample(r *rng.Rand) Outcome {
 	var eval func(n *Node) Outcome
 	eval = func(n *Node) Outcome {
@@ -264,250 +161,11 @@ func (t *Tree) Sample(r *rng.Rand) Outcome {
 				out.Duration = math.Max(out.Duration, o.Duration)
 			}
 			return out
-		case SeqAnd:
-			out := Outcome{Success: true}
-			for _, c := range n.Children {
-				o := eval(c)
-				out.Duration += o.Duration
-				if !o.Success {
-					out.Success = false
-					break
-				}
-			}
-			return out
-		case Or:
-			best := math.Inf(1)
-			worst := 0.0
-			success := false
-			for _, c := range n.Children {
-				o := eval(c)
-				worst = math.Max(worst, o.Duration)
-				if o.Success {
-					success = true
-					best = math.Min(best, o.Duration)
-				}
-			}
-			if success {
-				return Outcome{Success: true, Duration: best}
-			}
-			return Outcome{Success: false, Duration: worst}
-		case KofN:
-			durations := make([]float64, 0, len(n.Children))
-			successes := 0
-			worst := 0.0
-			for _, c := range n.Children {
-				o := eval(c)
-				worst = math.Max(worst, o.Duration)
-				if o.Success {
-					successes++
-					durations = append(durations, o.Duration)
-				}
-			}
-			if successes >= n.K {
-				sort.Float64s(durations)
-				return Outcome{Success: true, Duration: durations[n.K-1]}
-			}
-			return Outcome{Success: false, Duration: worst}
 		default:
 			return Outcome{}
 		}
 	}
 	return eval(t.Root)
-}
-
-// CutSet is a set of leaf names whose joint success makes the attack
-// succeed.
-type CutSet []string
-
-func (cs CutSet) String() string { return "{" + strings.Join(cs, ",") + "}" }
-
-// MinimalCutSets enumerates the minimal cut sets of the tree. SAND gates
-// are treated as AND for cut-set purposes; KofN expands to all k-subsets.
-// The result is sorted lexicographically for determinism.
-func (t *Tree) MinimalCutSets() []CutSet {
-	type setT map[string]bool
-	cross := func(a, b []setT) []setT {
-		out := make([]setT, 0, len(a)*len(b))
-		for _, x := range a {
-			for _, y := range b {
-				m := setT{}
-				for k := range x {
-					m[k] = true
-				}
-				for k := range y {
-					m[k] = true
-				}
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-	var eval func(n *Node) []setT
-	eval = func(n *Node) []setT {
-		switch n.Kind {
-		case Leaf:
-			return []setT{{n.Name: true}}
-		case And, SeqAnd:
-			acc := []setT{{}}
-			for _, c := range n.Children {
-				acc = cross(acc, eval(c))
-			}
-			return acc
-		case Or:
-			var acc []setT
-			for _, c := range n.Children {
-				acc = append(acc, eval(c)...)
-			}
-			return acc
-		case KofN:
-			// Union over all k-subsets of AND-combined children.
-			idx := make([]int, n.K)
-			for i := range idx {
-				idx[i] = i
-			}
-			var acc []setT
-			for {
-				comb := []setT{{}}
-				for _, i := range idx {
-					comb = cross(comb, eval(n.Children[i]))
-				}
-				acc = append(acc, comb...)
-				// next combination
-				i := n.K - 1
-				for i >= 0 && idx[i] == len(n.Children)-n.K+i {
-					i--
-				}
-				if i < 0 {
-					break
-				}
-				idx[i]++
-				for j := i + 1; j < n.K; j++ {
-					idx[j] = idx[j-1] + 1
-				}
-			}
-			return acc
-		default:
-			return nil
-		}
-	}
-	raw := eval(t.Root)
-	// Minimize: drop supersets of other sets.
-	sets := make([]CutSet, 0, len(raw))
-	for _, m := range raw {
-		cs := make(CutSet, 0, len(m))
-		for k := range m {
-			cs = append(cs, k)
-		}
-		sort.Strings(cs)
-		sets = append(sets, cs)
-	}
-	isSubset := func(a, b CutSet) bool { // a ⊆ b
-		if len(a) > len(b) {
-			return false
-		}
-		bm := map[string]bool{}
-		for _, x := range b {
-			bm[x] = true
-		}
-		for _, x := range a {
-			if !bm[x] {
-				return false
-			}
-		}
-		return true
-	}
-	var minimal []CutSet
-	for i, cs := range sets {
-		dominated := false
-		for j, other := range sets {
-			if i == j {
-				continue
-			}
-			if isSubset(other, cs) && (len(other) < len(cs) || j < i) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			minimal = append(minimal, cs)
-		}
-	}
-	sort.Slice(minimal, func(i, j int) bool {
-		a, b := minimal[i], minimal[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	// Deduplicate identical sets (KofN expansion can repeat).
-	out := minimal[:0]
-	for i, cs := range minimal {
-		if i > 0 && equalCutSets(minimal[i-1], cs) {
-			continue
-		}
-		out = append(out, cs)
-	}
-	return out
-}
-
-func equalCutSets(a, b CutSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CostedAttack is a minimal cut set annotated with the attacker resources
-// it requires.
-type CostedAttack struct {
-	Set  CutSet
-	Cost float64
-}
-
-// CheapestAttacks ranks the minimal cut sets by total attacker cost,
-// cheapest first. Leaf costs come from the costs map (leaves absent from
-// the map cost defaultCost). This is the classic attack-tree economics
-// view the paper's rationale appeals to: diversity wins when the cheapest
-// remaining attack costs more than the target is worth.
-func (t *Tree) CheapestAttacks(costs map[string]float64, defaultCost float64) []CostedAttack {
-	sets := t.MinimalCutSets()
-	out := make([]CostedAttack, 0, len(sets))
-	for _, cs := range sets {
-		total := 0.0
-		for _, leaf := range cs {
-			if c, ok := costs[leaf]; ok {
-				total += c
-			} else {
-				total += defaultCost
-			}
-		}
-		out = append(out, CostedAttack{Set: cs, Cost: total})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
-		}
-		return out[i].Set.String() < out[j].Set.String()
-	})
-	return out
-}
-
-// MinAttackCost returns the cost of the cheapest attack (the minimum over
-// minimal cut sets of the summed leaf costs), or +Inf for a tree with no
-// cut sets.
-func (t *Tree) MinAttackCost(costs map[string]float64, defaultCost float64) float64 {
-	ranked := t.CheapestAttacks(costs, defaultCost)
-	if len(ranked) == 0 {
-		return math.Inf(1)
-	}
-	return ranked[0].Cost
 }
 
 // EstimateSuccess runs n Monte-Carlo samples and returns the observed

@@ -19,10 +19,8 @@ func TestValidate(t *testing.T) {
 		{"valid and", NewAnd("and", NewLeaf("a", 0.5, nil), NewLeaf("b", 0.2, nil)), true},
 		{"prob > 1", NewLeaf("a", 1.5, nil), false},
 		{"prob < 0", NewLeaf("a", -0.1, nil), false},
-		{"empty gate", NewOr("or"), false},
+		{"empty gate", NewAnd("and"), false},
 		{"duplicate names", NewAnd("and", NewLeaf("x", 0.5, nil), NewLeaf("x", 0.5, nil)), false},
-		{"kofn bad k", NewKofN("k", 3, NewLeaf("a", 0.5, nil)), false},
-		{"kofn ok", NewKofN("k", 1, NewLeaf("a", 0.5, nil)), true},
 		{"empty name", NewLeaf("", 0.5, nil), false},
 	}
 	for _, c := range cases {
@@ -69,13 +67,7 @@ func TestSuccessProbabilityGates(t *testing.T) {
 		want float64
 	}{
 		{"and", NewAnd("g", a, b), 0.2},
-		{"or", NewOr("g", a, b), 1 - 0.5*0.6},
-		{"sand", NewSeqAnd("g", a, b, c), 0.5 * 0.4 * 0.2},
-		{"1of3", NewKofN("g", 1, a, b, c), 1 - 0.5*0.6*0.8},
-		{"3of3", NewKofN("g", 3, a, b, c), 0.5 * 0.4 * 0.2},
-		{"2of3", NewKofN("g", 2, a, b, c),
-			0.5*0.4*0.8 + 0.5*0.6*0.2 + 0.5*0.4*0.2 + 0.5*0.4*0.2*0 +
-				(1-0.5)*0.4*0.2},
+		{"nested and", NewAnd("g", NewAnd("h", a, b), c), 0.5 * 0.4 * 0.2},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,13 +80,13 @@ func TestSuccessProbabilityGates(t *testing.T) {
 }
 
 func TestSampleAgreesWithAnalytic(t *testing.T) {
-	tree := New(NewOr("root",
-		NewSeqAnd("pathA",
+	tree := New(NewAnd("root",
+		NewAnd("pathA",
 			NewLeaf("phish", 0.6, rng.Deterministic{Value: 2}),
-			NewLeaf("escalate", 0.5, rng.Deterministic{Value: 3}),
+			NewLeaf("escalate", 0.9, rng.Deterministic{Value: 3}),
 		),
 		NewAnd("pathB",
-			NewLeaf("vpn", 0.3, rng.Deterministic{Value: 4}),
+			NewLeaf("vpn", 0.8, rng.Deterministic{Value: 4}),
 			NewLeaf("plc", 0.7, rng.Deterministic{Value: 1}),
 		),
 	))
@@ -103,136 +95,34 @@ func TestSampleAgreesWithAnalytic(t *testing.T) {
 	}
 	want := tree.SuccessProbability()
 	r := rng.New(42)
-	got, _ := tree.EstimateSuccess(60000, r)
+	got, dur := tree.EstimateSuccess(60000, r)
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("MC success %v, analytic %v", got, want)
+	}
+	if dur != 4 {
+		t.Fatalf("MC mean duration %v, want the slowest leaf's 4", dur)
 	}
 }
 
 func TestSampleDurations(t *testing.T) {
 	r := rng.New(7)
-	// SAND with certain leaves: duration = sum.
-	tree := New(NewSeqAnd("seq",
-		NewLeaf("s1", 1, rng.Deterministic{Value: 2}),
-		NewLeaf("s2", 1, rng.Deterministic{Value: 3}),
-	))
-	o := tree.Sample(r)
-	if !o.Success || o.Duration != 5 {
-		t.Fatalf("SAND outcome = %+v, want success in 5", o)
-	}
 	// AND parallel: duration = max.
-	tree = New(NewAnd("par",
+	tree := New(NewAnd("par",
 		NewLeaf("p1", 1, rng.Deterministic{Value: 2}),
 		NewLeaf("p2", 1, rng.Deterministic{Value: 3}),
 	))
-	o = tree.Sample(r)
+	o := tree.Sample(r)
 	if !o.Success || o.Duration != 3 {
 		t.Fatalf("AND outcome = %+v, want success in 3", o)
 	}
-	// OR: duration = fastest success.
-	tree = New(NewOr("or",
-		NewLeaf("o1", 1, rng.Deterministic{Value: 9}),
-		NewLeaf("o2", 1, rng.Deterministic{Value: 4}),
+	// A failed child fails the gate; its duration still counts.
+	tree = New(NewAnd("par",
+		NewLeaf("f1", 0, rng.Deterministic{Value: 9}),
+		NewLeaf("f2", 1, rng.Deterministic{Value: 4}),
 	))
 	o = tree.Sample(r)
-	if !o.Success || o.Duration != 4 {
-		t.Fatalf("OR outcome = %+v, want success in 4", o)
-	}
-}
-
-func TestSeqAndAbortsEarly(t *testing.T) {
-	// First child always fails: duration must not include later children.
-	tree := New(NewSeqAnd("seq",
-		NewLeaf("fail", 0, rng.Deterministic{Value: 2}),
-		NewLeaf("never", 1, rng.Deterministic{Value: 100}),
-	))
-	o := tree.Sample(rng.New(1))
-	if o.Success || o.Duration != 2 {
-		t.Fatalf("outcome = %+v, want failure in 2", o)
-	}
-}
-
-func TestWithLeafProbs(t *testing.T) {
-	base := New(NewAnd("root", NewLeaf("os", 0.9, nil), NewLeaf("fw", 0.8, nil)))
-	hardened := base.WithLeafProbs(map[string]float64{"os": 0.1})
-	if got := base.SuccessProbability(); math.Abs(got-0.72) > 1e-12 {
-		t.Fatalf("base tree mutated: %v", got)
-	}
-	if got := hardened.SuccessProbability(); math.Abs(got-0.08) > 1e-12 {
-		t.Fatalf("hardened P = %v, want 0.08", got)
-	}
-	// Unknown names are ignored.
-	same := base.WithLeafProbs(map[string]float64{"nope": 0.0})
-	if got := same.SuccessProbability(); math.Abs(got-0.72) > 1e-12 {
-		t.Fatalf("unknown leaf rebinding changed P: %v", got)
-	}
-}
-
-func TestLeaves(t *testing.T) {
-	tree := New(NewOr("root",
-		NewAnd("a", NewLeaf("l1", 0.5, nil), NewLeaf("l2", 0.5, nil)),
-		NewLeaf("l3", 0.5, nil),
-	))
-	names := []string{}
-	for _, l := range tree.Leaves() {
-		names = append(names, l.Name)
-	}
-	want := []string{"l1", "l2", "l3"}
-	if len(names) != len(want) {
-		t.Fatalf("leaves = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("leaves = %v, want %v", names, want)
-		}
-	}
-}
-
-func TestMinimalCutSets(t *testing.T) {
-	// root = OR(AND(a,b), c) → cut sets {a,b}, {c}.
-	tree := New(NewOr("root",
-		NewAnd("g1", NewLeaf("a", 0.5, nil), NewLeaf("b", 0.5, nil)),
-		NewLeaf("c", 0.5, nil),
-	))
-	sets := tree.MinimalCutSets()
-	if len(sets) != 2 {
-		t.Fatalf("cut sets = %v", sets)
-	}
-	if sets[0].String() != "{a,b}" || sets[1].String() != "{c}" {
-		t.Fatalf("cut sets = %v", sets)
-	}
-}
-
-func TestCutSetsAbsorbSupersets(t *testing.T) {
-	// OR(a, AND(a,b)) → {a} absorbs {a,b}.
-	tree := New(NewOr("root",
-		NewLeaf("a", 0.5, nil),
-		NewAnd("g", NewLeaf("a2", 0.5, nil), NewLeaf("b", 0.5, nil)),
-	))
-	// Rename to force the superset relation with distinct node names:
-	// use OR(x, AND(x…)) is impossible with unique names, so test the
-	// absorption path with KofN instead.
-	sets := tree.MinimalCutSets()
-	if len(sets) != 2 {
-		t.Fatalf("cut sets = %v", sets)
-	}
-	// 1-of-2 over (a, AND(a... b)) style absorption via KofN:
-	k := New(NewKofN("root", 1,
-		NewLeaf("p", 0.5, nil),
-		NewLeaf("q", 0.5, nil),
-	))
-	sets = k.MinimalCutSets()
-	if len(sets) != 2 || sets[0].String() != "{p}" || sets[1].String() != "{q}" {
-		t.Fatalf("KofN(1) cut sets = %v", sets)
-	}
-	k2 := New(NewKofN("root", 2,
-		NewLeaf("p", 0.5, nil),
-		NewLeaf("q", 0.5, nil),
-		NewLeaf("s", 0.5, nil),
-	))
-	sets = k2.MinimalCutSets()
-	if len(sets) != 3 {
-		t.Fatalf("KofN(2,3) cut sets = %v", sets)
+	if o.Success || o.Duration != 9 {
+		t.Fatalf("AND outcome = %+v, want failure in 9", o)
 	}
 }
 
@@ -244,16 +134,17 @@ func TestQuickMonotoneHardening(t *testing.T) {
 		p2 := float64(p2Raw%1000) / 1000
 		p3 := float64(p3Raw%1000) / 1000
 		hard := float64(hardRaw%1000) / 1000
-		tree := New(NewOr("root",
-			NewAnd("g", NewLeaf("a", p1, nil), NewLeaf("b", p2, nil)),
-			NewLeaf("c", p3, nil),
-		))
-		base := tree.SuccessProbability()
+		build := func(pa float64) *Tree {
+			return New(NewAnd("root",
+				NewAnd("g", NewLeaf("a", pa, nil), NewLeaf("b", p2, nil)),
+				NewLeaf("c", p3, nil),
+			))
+		}
+		base := build(p1).SuccessProbability()
 		if base < 0 || base > 1 {
 			return false
 		}
-		hardened := tree.WithLeafProbs(map[string]float64{"a": p1 * hard})
-		return hardened.SuccessProbability() <= base+1e-12
+		return build(p1*hard).SuccessProbability() <= base+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -285,80 +176,5 @@ func TestEstimateSuccessNoSuccesses(t *testing.T) {
 	p, mean := tree.EstimateSuccess(100, rng.New(1))
 	if p != 0 || !math.IsNaN(mean) {
 		t.Fatalf("p=%v mean=%v, want 0 and NaN", p, mean)
-	}
-}
-
-func BenchmarkSuccessProbability(b *testing.B) {
-	children := make([]*Node, 16)
-	for i := range children {
-		children[i] = NewLeaf(string(rune('a'+i)), 0.3, nil)
-	}
-	tree := New(NewKofN("root", 8, children...))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.SuccessProbability()
-	}
-}
-
-func BenchmarkSample(b *testing.B) {
-	tree := New(NewOr("root",
-		NewSeqAnd("pathA",
-			NewLeaf("phish", 0.6, rng.Exponential{Rate: 1}),
-			NewLeaf("escalate", 0.5, rng.Exponential{Rate: 2}),
-		),
-		NewAnd("pathB",
-			NewLeaf("vpn", 0.3, rng.Exponential{Rate: 0.5}),
-			NewLeaf("plc", 0.7, rng.Exponential{Rate: 3}),
-		),
-	))
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Sample(r)
-	}
-}
-
-func TestCheapestAttacks(t *testing.T) {
-	// root = OR(AND(a,b), c): cut sets {a,b} and {c}.
-	tree := New(NewOr("root",
-		NewAnd("g1", NewLeaf("a", 0.5, nil), NewLeaf("b", 0.5, nil)),
-		NewLeaf("c", 0.5, nil),
-	))
-	costs := map[string]float64{"a": 10, "b": 5, "c": 40}
-	ranked := tree.CheapestAttacks(costs, 1)
-	if len(ranked) != 2 {
-		t.Fatalf("ranked = %+v", ranked)
-	}
-	if ranked[0].Cost != 15 || ranked[0].Set.String() != "{a,b}" {
-		t.Fatalf("cheapest = %+v, want {a,b} at 15", ranked[0])
-	}
-	if ranked[1].Cost != 40 {
-		t.Fatalf("second = %+v", ranked[1])
-	}
-	if got := tree.MinAttackCost(costs, 1); got != 15 {
-		t.Fatalf("MinAttackCost = %v", got)
-	}
-	// Default cost applies to unpriced leaves.
-	if got := tree.MinAttackCost(nil, 7); got != 7 { // {c} alone costs 7
-		t.Fatalf("default-cost MinAttackCost = %v", got)
-	}
-}
-
-func TestDiversityRaisesAttackCost(t *testing.T) {
-	// The paper's economics: identical machines share one exploit cost;
-	// diverse machines each need their own exploit developed.
-	costPerExploit := 100.0
-	identical := New(NewAnd("attack",
-		NewLeaf("m1", 0.5, nil),
-		NewLeaf("m2-reuse", 1, nil), // exploit reuse: free
-	))
-	diverse := New(NewAnd("attack",
-		NewLeaf("m1", 0.5, nil),
-		NewLeaf("m2", 0.5, nil),
-	))
-	costIdent := identical.MinAttackCost(map[string]float64{"m1": costPerExploit, "m2-reuse": 0}, 0)
-	costDivers := diverse.MinAttackCost(nil, costPerExploit)
-	if costIdent != costPerExploit || costDivers != 2*costPerExploit {
-		t.Fatalf("costs: identical=%v diverse=%v", costIdent, costDivers)
 	}
 }

@@ -89,28 +89,6 @@ func (n *Network) Add(name string, states []string, parents []VarID, cpt []float
 	return id, nil
 }
 
-// MustAdd is Add that panics on error; intended for statically-known
-// model construction in scenario builders and tests.
-func (n *Network) MustAdd(name string, states []string, parents []VarID, cpt []float64) VarID {
-	id, err := n.Add(name, states, parents, cpt)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-// Var returns the variable with the given ID.
-func (n *Network) Var(id VarID) *Variable { return n.vars[id] }
-
-// VarByName looks a variable up by name.
-func (n *Network) VarByName(name string) (*Variable, bool) {
-	id, ok := n.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return n.vars[id], true
-}
-
 // Len returns the number of variables.
 func (n *Network) Len() int { return len(n.vars) }
 
@@ -405,53 +383,4 @@ func (n *Network) Sample(r *rng.Rand) []int {
 		out[i] = choice
 	}
 	return out
-}
-
-// LikelihoodWeighting estimates P(query | evidence) from n weighted
-// samples. Useful as a cross-check of exact inference and for very large
-// models.
-func (n *Network) LikelihoodWeighting(query VarID, ev Evidence, samples int, r *rng.Rand) ([]float64, error) {
-	if samples <= 0 {
-		return nil, fmt.Errorf("%w: sample count %d", ErrInvalidNetwork, samples)
-	}
-	counts := make([]float64, len(n.vars[query].States))
-	assign := make([]int, len(n.vars))
-	for s := 0; s < samples; s++ {
-		w := 1.0
-		for i, v := range n.vars {
-			row := 0
-			for _, p := range v.Parents {
-				row = row*len(n.vars[p].States) + assign[p]
-			}
-			base := row * len(v.States)
-			if obs, ok := ev[v.ID]; ok {
-				assign[i] = obs
-				w *= v.CPT[base+obs]
-				continue
-			}
-			u := r.Float64()
-			choice := len(v.States) - 1
-			acc := 0.0
-			for st := 0; st < len(v.States); st++ {
-				acc += v.CPT[base+st]
-				if u < acc {
-					choice = st
-					break
-				}
-			}
-			assign[i] = choice
-		}
-		counts[assign[query]] += w
-	}
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("%w: all sample weights zero (impossible evidence?)", ErrInvalidNetwork)
-	}
-	for i := range counts {
-		counts[i] /= total
-	}
-	return counts, nil
 }

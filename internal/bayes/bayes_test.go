@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -116,8 +117,8 @@ func TestAddValidation(t *testing.T) {
 	if _, err := n.Add("X", []string{"a", "b"}, nil, []float64{0.5, 0.5}); !errors.Is(err, ErrInvalidNetwork) {
 		t.Fatal("duplicate name accepted")
 	}
-	if v, ok := n.VarByName("X"); !ok || v.ID != x {
-		t.Fatal("VarByName lookup failed")
+	if x != 0 || n.Len() != 1 {
+		t.Fatalf("MustAdd returned id %d with %d variables, want the first variable", x, n.Len())
 	}
 }
 
@@ -266,4 +267,62 @@ func BenchmarkQuerySprinkler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MustAdd is Add that panics on error, for the tests' statically-known
+// models.
+func (n *Network) MustAdd(name string, states []string, parents []VarID, cpt []float64) VarID {
+	id, err := n.Add(name, states, parents, cpt)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// LikelihoodWeighting estimates P(query | evidence) from n weighted
+// samples: an independent cross-check of exact inference (Query).
+func (n *Network) LikelihoodWeighting(query VarID, ev Evidence, samples int, r *rng.Rand) ([]float64, error) {
+	if samples <= 0 {
+		return nil, fmt.Errorf("%w: sample count %d", ErrInvalidNetwork, samples)
+	}
+	counts := make([]float64, len(n.vars[query].States))
+	assign := make([]int, len(n.vars))
+	for s := 0; s < samples; s++ {
+		w := 1.0
+		for i, v := range n.vars {
+			row := 0
+			for _, p := range v.Parents {
+				row = row*len(n.vars[p].States) + assign[p]
+			}
+			base := row * len(v.States)
+			if obs, ok := ev[v.ID]; ok {
+				assign[i] = obs
+				w *= v.CPT[base+obs]
+				continue
+			}
+			u := r.Float64()
+			choice := len(v.States) - 1
+			acc := 0.0
+			for st := 0; st < len(v.States); st++ {
+				acc += v.CPT[base+st]
+				if u < acc {
+					choice = st
+					break
+				}
+			}
+			assign[i] = choice
+		}
+		counts[assign[query]] += w
+	}
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("%w: all sample weights zero (impossible evidence?)", ErrInvalidNetwork)
+	}
+	for i := range counts {
+		counts[i] /= total
+	}
+	return counts, nil
 }

@@ -256,70 +256,3 @@ func isInteraction(source string) bool {
 	}
 	return false
 }
-
-// SensitivityPoint is one evaluation of a metric under a scaled
-// calibration.
-type SensitivityPoint struct {
-	Scale float64
-	Value float64
-}
-
-// CalibrationSensitivity evaluates metric at each scale factor. It is the
-// harness behind the "probability values are established ... by
-// performing a sensitivity analysis" calibration option: metric typically
-// rebuilds the scenario with catalog.Scale(scale) and returns the
-// indicator of interest.
-func CalibrationSensitivity(metric func(scale float64) (float64, error), scales []float64) ([]SensitivityPoint, error) {
-	if metric == nil || len(scales) == 0 {
-		return nil, fmt.Errorf("%w: metric and scales are required", ErrBadStudy)
-	}
-	out := make([]SensitivityPoint, len(scales))
-	for i, s := range scales {
-		v, err := metric(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: sensitivity at scale %v: %w", s, err)
-		}
-		out[i] = SensitivityPoint{Scale: s, Value: v}
-	}
-	return out, nil
-}
-
-// TornadoEntry is one bar of a tornado diagram: the metric at the low and
-// high excursion of a single parameter, everything else at baseline.
-type TornadoEntry struct {
-	Param string
-	Low   float64
-	High  float64
-}
-
-// Swing returns the absolute swing |High − Low|.
-func (t TornadoEntry) Swing() float64 { return math.Abs(t.High - t.Low) }
-
-// Tornado performs one-at-a-time sensitivity: for each parameter name,
-// metric is called with only that parameter set to its low and high
-// excursions. Entries are returned sorted by swing, descending — the
-// classic tornado ordering.
-func Tornado(params []string, metric func(param string, high bool) (float64, error)) ([]TornadoEntry, error) {
-	if len(params) == 0 || metric == nil {
-		return nil, fmt.Errorf("%w: params and metric are required", ErrBadStudy)
-	}
-	out := make([]TornadoEntry, 0, len(params))
-	for _, p := range params {
-		lo, err := metric(p, false)
-		if err != nil {
-			return nil, fmt.Errorf("core: tornado %q low: %w", p, err)
-		}
-		hi, err := metric(p, true)
-		if err != nil {
-			return nil, fmt.Errorf("core: tornado %q high: %w", p, err)
-		}
-		out = append(out, TornadoEntry{Param: p, Low: lo, High: hi})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Swing() != out[j].Swing() {
-			return out[i].Swing() > out[j].Swing()
-		}
-		return out[i].Param < out[j].Param
-	})
-	return out, nil
-}

@@ -251,51 +251,6 @@ func TestBindVariantFactorsErrors(t *testing.T) {
 	}
 }
 
-func TestCalibrationSensitivity(t *testing.T) {
-	pts, err := CalibrationSensitivity(func(scale float64) (float64, error) {
-		return scale * 2, nil
-	}, []float64{0.5, 1, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 || pts[0].Value != 1 || pts[2].Value != 3 {
-		t.Fatalf("points = %+v", pts)
-	}
-	if _, err := CalibrationSensitivity(nil, []float64{1}); !errors.Is(err, ErrBadStudy) {
-		t.Fatal("nil metric accepted")
-	}
-	boom := func(float64) (float64, error) { return 0, errors.New("x") }
-	if _, err := CalibrationSensitivity(boom, []float64{1}); err == nil {
-		t.Fatal("metric error swallowed")
-	}
-}
-
-func TestTornado(t *testing.T) {
-	swings := map[string][2]float64{
-		"os":  {0.1, 0.9},
-		"fw":  {0.4, 0.6},
-		"plc": {0.3, 0.8},
-	}
-	entries, err := Tornado([]string{"os", "fw", "plc"}, func(p string, high bool) (float64, error) {
-		if high {
-			return swings[p][1], nil
-		}
-		return swings[p][0], nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries[0].Param != "os" || entries[1].Param != "plc" || entries[2].Param != "fw" {
-		t.Fatalf("tornado order = %v %v %v", entries[0].Param, entries[1].Param, entries[2].Param)
-	}
-	if math.Abs(entries[0].Swing()-0.8) > 1e-12 {
-		t.Fatalf("swing = %v", entries[0].Swing())
-	}
-	if _, err := Tornado(nil, nil); !errors.Is(err, ErrBadStudy) {
-		t.Fatal("empty tornado accepted")
-	}
-}
-
 func BenchmarkStudySynthetic(b *testing.B) {
 	d, err := doe.FullFactorial([]doe.Factor{
 		{Name: "OS", Levels: []string{"soft", "hardened"}},

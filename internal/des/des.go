@@ -77,15 +77,6 @@ type Handle struct {
 // issued for (the slot has not been recycled by a Reset).
 func (h Handle) live() bool { return h.e != nil && h.e.epoch == h.epoch }
 
-// Time returns the virtual time the event is (or was) scheduled for; a
-// stale or zero handle returns 0.
-func (h Handle) Time() float64 {
-	if !h.live() {
-		return 0
-	}
-	return h.e.time
-}
-
 // Cancel removes the event from the pending set. Cancelling an event
 // that already fired, was already cancelled, or belongs to an epoch
 // ended by Reset is a no-op.
@@ -268,17 +259,6 @@ func (s *Sim) Now() float64 { return s.now }
 
 // FiredEvents returns how many events have executed so far.
 func (s *Sim) FiredEvents() uint64 { return s.fired }
-
-// Pending returns the number of events currently scheduled.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, q := range s.pending {
-		if !q.e.cancelled {
-			n++
-		}
-	}
-	return n
-}
 
 // Schedule enqueues fn to run after delay units of virtual time and
 // returns the event handle (usable to Cancel). It panics on negative or

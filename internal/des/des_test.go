@@ -205,19 +205,6 @@ func TestEveryStopInsideCallback(t *testing.T) {
 	}
 }
 
-func TestPendingCount(t *testing.T) {
-	s := NewSim()
-	e1 := s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	e1.Cancel()
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
-	}
-}
-
 func TestManyEventsThroughput(t *testing.T) {
 	s := NewSim()
 	r := rng.New(1)
@@ -365,8 +352,8 @@ func TestSimReset(t *testing.T) {
 	s := NewSim()
 	first := run(s)
 	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.FiredEvents() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d fired=%d", s.Now(), s.Pending(), s.FiredEvents())
+	if s.Now() != 0 || len(s.pending) != 0 || s.FiredEvents() != 0 {
+		t.Fatalf("Reset left state: now=%v pending=%d fired=%d", s.Now(), len(s.pending), s.FiredEvents())
 	}
 	second := run(s)
 	fresh := run(NewSim())
@@ -565,4 +552,13 @@ func TestTypedHeapMatchesContainerHeapOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Time returns the virtual time the event is (or was) scheduled for; a
+// stale or zero handle returns 0.
+func (h Handle) Time() float64 {
+	if !h.live() {
+		return 0
+	}
+	return h.e.time
 }

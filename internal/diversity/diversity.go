@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"diversify/internal/exploits"
@@ -162,58 +161,6 @@ func EffectiveVariant(a *Assignment, n topology.Node, c exploits.Class) (exploit
 		}
 	}
 	return n.Component(c)
-}
-
-// Profile summarizes the variant mix of one component class across a
-// topology under an assignment.
-type Profile struct {
-	Class  exploits.Class
-	Counts map[exploits.VariantID]int
-	Total  int
-}
-
-// ProfileOf computes the class profile across nodes carrying the class.
-func ProfileOf(t *topology.Topology, a *Assignment, c exploits.Class) Profile {
-	p := Profile{Class: c, Counts: map[exploits.VariantID]int{}}
-	a.Each(t, func(_ topology.NodeID, class exploits.Class, _, v exploits.VariantID) {
-		if class == c {
-			p.Counts[v]++
-			p.Total++
-		}
-	})
-	return p
-}
-
-// Distinct returns the number of distinct variants in use.
-func (p Profile) Distinct() int { return len(p.Counts) }
-
-// ShannonIndex returns the Shannon diversity H = −Σ pᵢ ln pᵢ (0 for a
-// monoculture).
-func (p Profile) ShannonIndex() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range p.Counts {
-		q := float64(c) / float64(p.Total)
-		if q > 0 {
-			h -= q * math.Log(q)
-		}
-	}
-	return h
-}
-
-// SimpsonIndex returns 1 − Σ pᵢ² (probability two random nodes differ).
-func (p Profile) SimpsonIndex() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, c := range p.Counts {
-		q := float64(c) / float64(p.Total)
-		s += q * q
-	}
-	return 1 - s
 }
 
 // CostModel prices a diversity configuration: each distinct variant

@@ -59,53 +59,14 @@ func TestClone(t *testing.T) {
 func TestSetClassEverywhere(t *testing.T) {
 	topo := testTopo()
 	a := NewAssignment().SetClassEverywhere(topo, exploits.ClassOS, exploits.OSWin7)
-	p := ProfileOf(topo, a, exploits.ClassOS)
-	if p.Distinct() != 1 || p.Counts[exploits.OSWin7] != p.Total {
-		t.Fatalf("profile = %+v", p)
+	if counts := osCensus(topo, a); len(counts) != 1 || counts[exploits.OSWin7] == 0 {
+		t.Fatalf("OS census = %v, want only %s", counts, exploits.OSWin7)
 	}
 	// Nodes without the class stay untouched.
 	for _, id := range topo.NodesOfKind(topology.KindPLC) {
 		if _, ok := a.Lookup(id, exploits.ClassOS); ok {
 			t.Fatal("PLC received an OS assignment")
 		}
-	}
-}
-
-func TestProfileIndices(t *testing.T) {
-	topo := testTopo()
-	// Monoculture: zero diversity.
-	mono := ProfileOf(topo, nil, exploits.ClassOS)
-	if mono.Distinct() != 1 || mono.ShannonIndex() != 0 || mono.SimpsonIndex() != 0 {
-		t.Fatalf("monoculture profile: distinct=%d H=%v S=%v",
-			mono.Distinct(), mono.ShannonIndex(), mono.SimpsonIndex())
-	}
-	// Two equal halves: H = ln 2, Simpson = 0.5.
-	a := NewAssignment()
-	count := 0
-	for _, n := range topo.Nodes() {
-		if _, has := n.Component(exploits.ClassOS); !has {
-			continue
-		}
-		if count%2 == 0 {
-			a.Set(n.ID, exploits.ClassOS, exploits.OSWin7)
-		} else {
-			a.Set(n.ID, exploits.ClassOS, exploits.OSLinuxHMI)
-		}
-		count++
-	}
-	if count%2 != 0 {
-		// Drop expectations of exact equality on odd populations.
-		t.Skipf("odd OS population %d; index equality needs even split", count)
-	}
-	p := ProfileOf(topo, a, exploits.ClassOS)
-	if p.Distinct() != 2 {
-		t.Fatalf("distinct = %d", p.Distinct())
-	}
-	if math.Abs(p.ShannonIndex()-math.Log(2)) > 1e-9 {
-		t.Fatalf("Shannon = %v, want ln2", p.ShannonIndex())
-	}
-	if math.Abs(p.SimpsonIndex()-0.5) > 1e-9 {
-		t.Fatalf("Simpson = %v, want 0.5", p.SimpsonIndex())
 	}
 }
 
@@ -145,9 +106,14 @@ func TestPlaceRandom(t *testing.T) {
 	// k larger than population clamps.
 	b := NewAssignment()
 	all := PlaceRandom(topo, b, exploits.ClassOS, exploits.OSHardened, 10000, rng.New(2), nil)
-	p := ProfileOf(topo, b, exploits.ClassOS)
-	if len(all) != p.Total {
-		t.Fatalf("clamp failed: chose %d of %d", len(all), p.Total)
+	carried := 0
+	for _, n := range topo.Nodes() {
+		if _, has := n.Component(exploits.ClassOS); has {
+			carried++
+		}
+	}
+	if len(all) != carried {
+		t.Fatalf("clamp failed: chose %d of %d", len(all), carried)
 	}
 }
 
@@ -227,6 +193,17 @@ func TestPlaceWorstAvoidsCutNodes(t *testing.T) {
 	}
 }
 
+// osCensus counts the OS variants the plant runs under a.
+func osCensus(topo *topology.Topology, a *Assignment) map[exploits.VariantID]int {
+	counts := map[exploits.VariantID]int{}
+	a.Each(topo, func(_ topology.NodeID, c exploits.Class, _, v exploits.VariantID) {
+		if c == exploits.ClassOS {
+			counts[v]++
+		}
+	})
+	return counts
+}
+
 func TestSpreadVariants(t *testing.T) {
 	topo := testTopo()
 	cat := exploits.StuxnetCatalog()
@@ -234,13 +211,13 @@ func TestSpreadVariants(t *testing.T) {
 	if err := SpreadVariants(topo, a, cat, exploits.ClassOS, 3); err != nil {
 		t.Fatal(err)
 	}
-	p := ProfileOf(topo, a, exploits.ClassOS)
-	if p.Distinct() != 3 {
-		t.Fatalf("distinct = %d, want 3", p.Distinct())
+	counts := osCensus(topo, a)
+	if len(counts) != 3 {
+		t.Fatalf("distinct = %d, want 3", len(counts))
 	}
 	// Round-robin keeps counts balanced within 1.
 	min, max := math.MaxInt32, 0
-	for _, c := range p.Counts {
+	for _, c := range counts {
 		if c < min {
 			min = c
 		}
@@ -249,7 +226,7 @@ func TestSpreadVariants(t *testing.T) {
 		}
 	}
 	if max-min > 1 {
-		t.Fatalf("unbalanced spread: %v", p.Counts)
+		t.Fatalf("unbalanced spread: %v", counts)
 	}
 	// Error paths.
 	if err := SpreadVariants(topo, a, cat, exploits.ClassOS, 0); !errors.Is(err, ErrBadAssignment) {
@@ -260,8 +237,8 @@ func TestSpreadVariants(t *testing.T) {
 	}
 }
 
-// Property: Shannon and Simpson indices never decrease when going from a
-// monoculture (k=1) to k>1 spread variants.
+// Property: spreading k variants puts exactly k distinct variants in use,
+// against one for the monoculture (k=1).
 func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 	topo := testTopo()
 	cat := exploits.StuxnetCatalog()
@@ -275,11 +252,7 @@ func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 		if err := SpreadVariants(topo, multi, cat, exploits.ClassOS, k); err != nil {
 			return false
 		}
-		pm := ProfileOf(topo, mono, exploits.ClassOS)
-		pk := ProfileOf(topo, multi, exploits.ClassOS)
-		return pk.ShannonIndex() >= pm.ShannonIndex()-1e-12 &&
-			pk.SimpsonIndex() >= pm.SimpsonIndex()-1e-12 &&
-			pk.SimpsonIndex() <= 1 && pk.ShannonIndex() >= 0
+		return len(osCensus(topo, mono)) == 1 && len(osCensus(topo, multi)) == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

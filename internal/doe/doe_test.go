@@ -249,3 +249,27 @@ func BenchmarkFractional(b *testing.B) {
 		}
 	}
 }
+
+// IsOrthogonal reports whether every pair of two-level factors is
+// orthogonal in ±1 coding (Σ xᵢxⱼ = 0). Factors with more than two
+// levels return false (orthogonality is checked for coded designs only).
+func (d *Design) IsOrthogonal() bool {
+	for _, f := range d.Factors {
+		if len(f.Levels) != 2 {
+			return false
+		}
+	}
+	coded := func(l int) int { return 2*l - 1 }
+	for a := 0; a < len(d.Factors); a++ {
+		for b := a + 1; b < len(d.Factors); b++ {
+			sum := 0
+			for _, run := range d.Runs {
+				sum += coded(run[a]) * coded(run[b])
+			}
+			if sum != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}

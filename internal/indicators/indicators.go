@@ -139,21 +139,6 @@ func TTASummary(outcomes []Outcome) (stats.Summary, error) {
 	return stats.Describe(times), nil
 }
 
-// TTACI returns the mean Time-To-Attack of successful replications with a
-// Student-t confidence interval.
-func TTACI(outcomes []Outcome, level float64) (stats.Interval, error) {
-	times := make([]float64, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.Success {
-			times = append(times, o.TTA)
-		}
-	}
-	if len(times) < 2 {
-		return stats.Interval{}, fmt.Errorf("%w: %d successful attacks", ErrNoData, len(times))
-	}
-	return stats.MeanCI(times, level)
-}
-
 // TTSFSummary describes Time-To-Security-Failure over detected
 // replications. Undetected attacks are censored at the horizon; setting
 // includeCensored counts them at the horizon value (a conservative lower
@@ -189,103 +174,6 @@ func DetectionRate(outcomes []Outcome, level float64) (stats.Interval, error) {
 	return stats.ProportionCI(det, len(outcomes), level)
 }
 
-// DetectionLatencySummary describes the intruder dwell time (DwellTime)
-// over the replications in which anything was compromised; undetected
-// intrusions are censored at the horizon. It returns ErrNoData when no
-// replication saw a compromise.
-func DetectionLatencySummary(outcomes []Outcome) (stats.Summary, error) {
-	times := make([]float64, 0, len(outcomes))
-	for _, o := range outcomes {
-		if len(o.Compromised) == 0 {
-			continue
-		}
-		times = append(times, o.DwellTime())
-	}
-	if len(times) == 0 {
-		return stats.Summary{}, fmt.Errorf("%w: no compromises", ErrNoData)
-	}
-	return stats.Describe(times), nil
-}
-
-// MeanDetections returns the mean detection-event count per replication
-// (0 for an empty sample).
-func MeanDetections(outcomes []Outcome) float64 {
-	if len(outcomes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, o := range outcomes {
-		sum += float64(o.Detections)
-	}
-	return sum / float64(len(outcomes))
-}
-
-// MeanReinfections returns the mean re-infection count per replication
-// (0 for an empty sample) — the churn a moving-target rotation policy
-// forces on the attacker.
-func MeanReinfections(outcomes []Outcome) float64 {
-	if len(outcomes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, o := range outcomes {
-		sum += float64(o.Reinfections)
-	}
-	return sum / float64(len(outcomes))
-}
-
-// MeanRotationCost returns the mean realized rotation spend per
-// replication (0 for an empty sample). Together with the schedule's
-// planned cost it is the price side of the dynamic-diversity trade-off.
-func MeanRotationCost(outcomes []Outcome) float64 {
-	if len(outcomes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, o := range outcomes {
-		sum += o.RotationCost
-	}
-	return sum / float64(len(outcomes))
-}
-
-// FootholdSummary describes the aggregate intruder dwell (FootholdTime,
-// node-hours) over the replications in which anything was compromised.
-// It returns ErrNoData when no replication saw a compromise.
-func FootholdSummary(outcomes []Outcome) (stats.Summary, error) {
-	times := make([]float64, 0, len(outcomes))
-	for _, o := range outcomes {
-		if len(o.Compromised) == 0 {
-			continue
-		}
-		times = append(times, o.FootholdTime)
-	}
-	if len(times) == 0 {
-		return stats.Summary{}, fmt.Errorf("%w: no compromises", ErrNoData)
-	}
-	return stats.Describe(times), nil
-}
-
-// ContainmentRate returns the fraction of compromised replications that
-// ended fully clean again (every foothold evicted by the rotation
-// policy), with a Wilson interval. It returns ErrNoData when no
-// replication saw a compromise.
-func ContainmentRate(outcomes []Outcome, level float64) (stats.Interval, error) {
-	contained, compromised := 0, 0
-	for _, o := range outcomes {
-		if len(o.Compromised) == 0 {
-			continue
-		}
-		compromised++
-		if o.Contained {
-			contained++
-		}
-	}
-	if compromised == 0 {
-		return stats.Interval{}, fmt.Errorf("%w: no compromises", ErrNoData)
-	}
-	return stats.ProportionCI(contained, compromised, level)
-}
-
 // RatioAt evaluates a compromised-ratio step series at time t (the value
 // of the last point at or before t; 0 before the first point).
 func RatioAt(series []Point, t float64) float64 {
@@ -297,24 +185,6 @@ func RatioAt(series []Point, t float64) float64 {
 		v = p.Value
 	}
 	return v
-}
-
-// MeanCompromisedCurve averages the compromised ratio across replications
-// on a uniform grid of n points over [0, horizon].
-func MeanCompromisedCurve(outcomes []Outcome, horizon float64, n int) ([]Point, error) {
-	if len(outcomes) == 0 || n <= 1 || horizon <= 0 {
-		return nil, ErrNoData
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		t := horizon * float64(i) / float64(n-1)
-		sum := 0.0
-		for _, o := range outcomes {
-			sum += RatioAt(o.Compromised, t)
-		}
-		out[i] = Point{T: t, Value: sum / float64(len(outcomes))}
-	}
-	return out, nil
 }
 
 // ValidateSeries checks the structural invariants of a compromised-ratio

@@ -48,19 +48,6 @@ func TestTTASummary(t *testing.T) {
 	}
 }
 
-func TestTTACI(t *testing.T) {
-	iv, err := TTACI(sample(), 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.Point != 15 || !iv.Contains(15) {
-		t.Fatalf("interval = %+v", iv)
-	}
-	if _, err := TTACI([]Outcome{{Success: true, TTA: 5}}, 0.95); !errors.Is(err, ErrNoData) {
-		t.Fatal("single success should be insufficient")
-	}
-}
-
 func TestTTSFSummary(t *testing.T) {
 	s, err := TTSFSummary(sample(), false)
 	if err != nil {
@@ -104,29 +91,6 @@ func TestRatioAt(t *testing.T) {
 		if got := RatioAt(series, c.t); got != c.want {
 			t.Errorf("RatioAt(%v) = %v, want %v", c.t, got, c.want)
 		}
-	}
-}
-
-func TestMeanCompromisedCurve(t *testing.T) {
-	curve, err := MeanCompromisedCurve(sample(), 100, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 11 || curve[0].T != 0 || curve[10].T != 100 {
-		t.Fatalf("grid wrong: %+v", curve)
-	}
-	// At t=100 mean of {0.6, 0.4, 0.1, 0} = 0.275.
-	if math.Abs(curve[10].Value-0.275) > 1e-12 {
-		t.Fatalf("final mean = %v", curve[10].Value)
-	}
-	// Monotone nondecreasing.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Value < curve[i-1].Value-1e-12 {
-			t.Fatalf("mean curve decreased at %d", i)
-		}
-	}
-	if _, err := MeanCompromisedCurve(nil, 100, 11); !errors.Is(err, ErrNoData) {
-		t.Fatal("empty input accepted")
 	}
 }
 
@@ -200,34 +164,6 @@ func TestDwellTime(t *testing.T) {
 	}
 }
 
-func TestDetectionLatencySummary(t *testing.T) {
-	sum, err := DetectionLatencySummary(sample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Outcomes 0–2 saw compromises: dwell 6, 95, 20.
-	if sum.N != 3 {
-		t.Fatalf("N = %d, want 3", sum.N)
-	}
-	want := (6.0 + 95 + 20) / 3
-	if math.Abs(sum.Mean-want) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", sum.Mean, want)
-	}
-	if _, err := DetectionLatencySummary([]Outcome{{Horizon: 10}}); !errors.Is(err, ErrNoData) {
-		t.Fatal("no-compromise sample accepted")
-	}
-}
-
-func TestMeanDetections(t *testing.T) {
-	outs := []Outcome{{Detections: 3}, {Detections: 1}, {}}
-	if got := MeanDetections(outs); math.Abs(got-4.0/3) > 1e-12 {
-		t.Fatalf("mean detections = %v", got)
-	}
-	if MeanDetections(nil) != 0 {
-		t.Fatal("empty sample should be 0")
-	}
-}
-
 // Clone must detach the Compromised series from shared storage.
 func TestOutcomeClone(t *testing.T) {
 	o := sample()[0]
@@ -235,50 +171,5 @@ func TestOutcomeClone(t *testing.T) {
 	c.Compromised[0].Value = 0.99
 	if o.Compromised[0].Value == 0.99 {
 		t.Fatal("Clone shares the series backing array")
-	}
-}
-
-// The dynamic-diversity estimators: re-infection / rotation-cost means,
-// the foothold summary over compromised replications, and the
-// containment rate with its no-compromise error.
-func TestRotationEstimators(t *testing.T) {
-	outs := []Outcome{
-		{ // compromised, contained
-			Compromised:  []Point{{T: 10, Value: 0.1}},
-			Reinfections: 2, RotationCost: 4, FootholdTime: 100, Contained: true,
-			Horizon: 720,
-		},
-		{ // compromised, not contained
-			Compromised:  []Point{{T: 20, Value: 0.1}},
-			Reinfections: 0, RotationCost: 2, FootholdTime: 700,
-			Horizon: 720,
-		},
-		{ // never compromised: excluded from foothold/containment
-			Horizon: 720, RotationCost: 6,
-		},
-	}
-	if got := MeanReinfections(outs); got != 2.0/3 {
-		t.Errorf("MeanReinfections = %v, want 2/3", got)
-	}
-	if got := MeanRotationCost(outs); got != 4.0 {
-		t.Errorf("MeanRotationCost = %v, want 4", got)
-	}
-	fh, err := FootholdSummary(outs)
-	if err != nil || fh.Mean != 400 {
-		t.Errorf("FootholdSummary mean = %v (%v), want 400", fh.Mean, err)
-	}
-	rate, err := ContainmentRate(outs, 0.95)
-	if err != nil || rate.Point != 0.5 {
-		t.Errorf("ContainmentRate = %v (%v), want 0.5", rate.Point, err)
-	}
-	if MeanReinfections(nil) != 0 || MeanRotationCost(nil) != 0 {
-		t.Error("empty-sample means not zero")
-	}
-	clean := []Outcome{{Horizon: 720}}
-	if _, err := FootholdSummary(clean); err == nil {
-		t.Error("FootholdSummary accepted a compromise-free sample")
-	}
-	if _, err := ContainmentRate(clean, 0.95); err == nil {
-		t.Error("ContainmentRate accepted a compromise-free sample")
 	}
 }

@@ -213,6 +213,21 @@ func checkMapRangeReturn(info *types.Info, rng *ast.RangeStmt, ret *ast.ReturnSt
 	}
 }
 
+// isSortCall reports whether fn orders a slice in place: slices.Sort*,
+// or one of the sort package's sorts.
+func isSortCall(fn *types.Func) bool {
+	switch fn.Pkg().Path() {
+	case "slices":
+		return strings.HasPrefix(fn.Name(), "Sort")
+	case "sort":
+		switch fn.Name() {
+		case "Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s":
+			return true
+		}
+	}
+	return false
+}
+
 // sortedAfter reports whether any call after the range statement in the
 // enclosing function body is a sort/slices ordering call mentioning the
 // (root, path) slice.
@@ -230,8 +245,7 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rng *ast.RangeStmt, root
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
-		pkg := fn.Pkg().Path()
-		if (pkg != "sort" && pkg != "slices") || !strings.HasPrefix(fn.Name(), "Sort") {
+		if !isSortCall(fn) {
 			return true
 		}
 		for _, arg := range call.Args {

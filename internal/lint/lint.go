@@ -7,7 +7,8 @@
 // reachability, declared lock discipline and static hot-path
 // allocation gating.
 //
-// The driver is stdlib-only (go/parser + go/types over `go list -export`
+// The suite is stdlib-only (go/parser + go/types, module packages
+// checked from source and the standard library from `go list -export`
 // compiled export data — no module dependencies, consistent with the
 // repo's zero-dep posture). Analyzers are structured as self-contained
 // (Name, Doc, Applies, Run) values over a Pass, so they could later be

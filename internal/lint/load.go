@@ -69,13 +69,23 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 	return pkgs, nil
 }
 
-// exportImporter resolves imports from compiler export data files.
+// exportImporter resolves imports from compiler export data files,
+// except for module packages Load has already type-checked from source:
+// those resolve to the source-checked *types.Package, so a call into
+// another module package names the same *types.Func the call graph has
+// a node for.
 type exportImporter struct {
 	imp     types.Importer
 	exports map[string]string
+	checked map[string]*types.Package
 }
 
-func (e *exportImporter) Import(path string) (*types.Package, error) { return e.imp.Import(path) }
+func (e *exportImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := e.checked[path]; ok {
+		return pkg, nil
+	}
+	return e.imp.Import(path)
+}
 
 // NewImporter builds a types.Importer backed by `go list -export`
 // compiled export data for the dependency closure of patterns, rooted
@@ -157,10 +167,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return os.Open(f)
 		}),
 		exports: exports,
+		checked: map[string]*types.Package{},
 	}
+	// `go list -deps` lists every package after its dependencies, so each
+	// module package is source-checked before anything imports it. Module
+	// dependencies outside patterns are checked too (but not returned):
+	// mixing them in from export data would give their imports a second,
+	// incompatible copy of a source-checked package.
 	var out []*Package
 	for _, p := range listing {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
 		names := make([]string, len(p.GoFiles))
@@ -170,6 +186,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkg, err := ParsePackage(fset, imp, p.ImportPath, names...)
 		if err != nil {
 			return nil, err
+		}
+		imp.checked[p.ImportPath] = pkg.Pkg
+		if p.DepOnly {
+			continue
 		}
 		pkg.Dir = absDir
 		out = append(out, pkg)

@@ -5,6 +5,7 @@ package malware
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"time"
 )
 
@@ -68,6 +69,24 @@ func sorted(m map[string]int) []string {
 		out = append(out, k)
 	}
 	slices.Sort(out)
+	return out
+}
+
+func sortSliced(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func sortedOther(m map[string]int, other []string) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k) // want "append to out inside map iteration"
+	}
+	sort.Slice(other, func(i, j int) bool { return other[i] < other[j] })
 	return out
 }
 

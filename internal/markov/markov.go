@@ -253,94 +253,6 @@ func (c *Chain) AbsorptionProbabilities(target StateID) (map[StateID]float64, er
 	return out, nil
 }
 
-// ExpectedVisits returns, for each transient state, the expected number
-// of visits (entries) to it before absorption, starting from the given
-// state — the fundamental-matrix row of the embedded jump chain. For an
-// attack model this reads as "how many times does the attacker pass
-// through each stage", i.e. the expected attempt counts behind the
-// Time-To-Attack.
-func (c *Chain) ExpectedVisits(from StateID) (map[StateID]float64, error) {
-	if int(from) < 0 || int(from) >= len(c.names) {
-		return nil, fmt.Errorf("%w: unknown state %d", ErrBadChain, from)
-	}
-	var transient []StateID
-	for s := 0; s < len(c.names); s++ {
-		if !c.Absorbing(StateID(s)) {
-			transient = append(transient, StateID(s))
-		}
-	}
-	if c.Absorbing(from) {
-		return map[StateID]float64{}, nil
-	}
-	idx := map[StateID]int{}
-	for i, s := range transient {
-		idx[s] = i
-	}
-	m := len(transient)
-	// Visits v solve v = e_from + v·P over transient states, i.e.
-	// (I − P)ᵀ x = e_from with x = vᵀ.
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-		a[i][i] = 1
-	}
-	for i, s := range transient {
-		exit := c.ExitRate(s)
-		for to, r := range c.rates[s] {
-			if j, ok := idx[to]; ok {
-				a[j][i] -= r / exit // transpose: column i gets P[i][j]
-			}
-		}
-	}
-	b := make([]float64, m)
-	b[idx[from]] = 1
-	x, err := solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChain, err)
-	}
-	out := map[StateID]float64{}
-	for i, s := range transient {
-		out[s] = x[i]
-	}
-	return out, nil
-}
-
-// SteadyState returns the stationary distribution of an irreducible chain
-// by solving πQ = 0, Σπ = 1.
-func (c *Chain) SteadyState() ([]float64, error) {
-	n := len(c.names)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty chain", ErrBadChain)
-	}
-	for s := 0; s < n; s++ {
-		if c.Absorbing(StateID(s)) {
-			return nil, fmt.Errorf("%w: state %q is absorbing; steady state undefined for reducible chains",
-				ErrBadChain, c.names[s])
-		}
-	}
-	// Build Q^T with the last equation replaced by Σπ = 1.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		a[i][i] -= c.ExitRate(StateID(i)) // column i of Q gets −exit on diagonal
-		for to, r := range c.rates[i] {
-			a[to][i] += r
-		}
-	}
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
-	}
-	b[n-1] = 1
-	x, err := solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChain, err)
-	}
-	return x, nil
-}
-
 // solve performs Gaussian elimination with partial pivoting on a copy of
 // the system. It mutates the passed slices (callers construct them fresh).
 func solve(a [][]float64, b []float64) ([]float64, error) {

@@ -45,7 +45,6 @@ const (
 	ExIllegalFunction    byte = 0x01
 	ExIllegalDataAddress byte = 0x02
 	ExIllegalDataValue   byte = 0x03
-	ExServerFailure      byte = 0x04
 )
 
 // Errors returned by the codec and client.

@@ -41,63 +41,6 @@ func BenchmarkOptimizeGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalCache isolates the memoized path: scoring an
-// already-simulated candidate must cost a fingerprint plus a map lookup,
-// no replications.
-func BenchmarkEvalCache(b *testing.B) {
-	p := benchProblem()
-	p.normalize()
-	if err := p.validate(); err != nil {
-		b.Fatal(err)
-	}
-	ev, err := newEvaluator(&p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := p.base()
-	p.Options[0].Apply(a)
-	p.Options[len(p.Options)-1].Apply(a)
-	cand := Candidate{A: a, Rot: -1}
-	if _, err := ev.Score(cand); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Score(cand); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if ev.hits != b.N {
-		b.Fatalf("expected %d cache hits, got %d", b.N, ev.hits)
-	}
-}
-
-// BenchmarkEvalMiss measures one full candidate evaluation (replications
-// across the worker pool with campaign reuse) for contrast with the hit
-// path.
-func BenchmarkEvalMiss(b *testing.B) {
-	p := benchProblem()
-	p.normalize()
-	if err := p.validate(); err != nil {
-		b.Fatal(err)
-	}
-	ev, err := newEvaluator(&p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cand := Candidate{A: p.base(), Rot: -1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		delete(ev.cache, cand.fingerprint(ev.rotFPs))
-		ev.archive = ev.archive[:0]
-		if _, err := ev.Score(cand); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // gridProblem is a bounded greedy search on a generated 100-substation
 // meshed grid: RTU firmware + protocol switches, a few replications per
 // candidate. It exercises the scale path (hundreds of options, ~600-node

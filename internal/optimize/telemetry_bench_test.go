@@ -13,9 +13,10 @@ type countingSink struct{ n int }
 
 func (s *countingSink) Emit(telemetry.Event) { s.n++ }
 
-// BenchmarkEvalCacheInstrumented is BenchmarkEvalCache with a sink
-// attached: the memoized path emits nothing, so the contrast with the
-// bare bench isolates what a live sink costs cache hits (nothing).
+// BenchmarkEvalCacheInstrumented scores a memoized candidate with a sink
+// attached: the memoized path emits nothing, so the contrast with
+// perfbench's bare optimize.score_hit_ns isolates what a live sink costs
+// cache hits (nothing).
 func BenchmarkEvalCacheInstrumented(b *testing.B) {
 	p := benchProblem()
 	p.normalize()
@@ -41,9 +42,10 @@ func BenchmarkEvalCacheInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalMissInstrumented is BenchmarkEvalMiss with a sink
-// attached: each miss pays one clock pair and one EvaluationBatch
-// emission on top of the simulation itself.
+// BenchmarkEvalMissInstrumented scores a candidate from scratch with a
+// sink attached: each miss pays one clock pair and one EvaluationBatch
+// emission on top of the simulation itself (perfbench's
+// optimize.score_miss_ms is the bare miss).
 func BenchmarkEvalMissInstrumented(b *testing.B) {
 	p := benchProblem()
 	p.normalize()

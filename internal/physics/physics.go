@@ -198,12 +198,6 @@ func (p *CoolingPlant) Healthy() bool {
 	return true
 }
 
-// EquilibriumTemp returns the steady-state zone temperature for a fixed
-// cooling command u — used by tests and by controller tuning.
-func (p *CoolingPlant) EquilibriumTemp(u float64) float64 {
-	return p.cfg.Ambient + (p.cfg.HeatLoadKW-u*p.cfg.MaxCoolingKW)/p.cfg.LeakCoeff
-}
-
 // CentrifugeConfig parameterizes a CentrifugeCascade.
 type CentrifugeConfig struct {
 	Units        int     // number of centrifuges in the cascade

@@ -249,3 +249,9 @@ func BenchmarkCentrifugeStep(b *testing.B) {
 		c.Step(0.1)
 	}
 }
+
+// EquilibriumTemp returns the steady-state zone temperature for a fixed
+// cooling command u: the closed-form oracle for the simulated plant.
+func (p *CoolingPlant) EquilibriumTemp(u float64) float64 {
+	return p.cfg.Ambient + (p.cfg.HeatLoadKW-u*p.cfg.MaxCoolingKW)/p.cfg.LeakCoeff
+}

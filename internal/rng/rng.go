@@ -230,31 +230,6 @@ func (r *Rand) Geometric(p float64) int {
 	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and normal approximation above 30.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Erlang returns the sum of k independent Exp(rate) samples.
 func (r *Rand) Erlang(k int, rate float64) float64 {
 	if k <= 0 || rate <= 0 {

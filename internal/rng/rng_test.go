@@ -211,21 +211,6 @@ func TestGeometricPOne(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(31)
-	for _, mean := range []float64{0.5, 4, 50} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) sample mean %v", mean, got)
-		}
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(37)
 	for i := 0; i < 100; i++ {

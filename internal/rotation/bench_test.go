@@ -35,7 +35,8 @@ func grid200Campaign(b *testing.B, spec *Spec) (*malware.Campaign, *Engine) {
 // replication on the 200-substation grid — the acceptance path: the
 // moving-target machinery must ride the same recycled arena/timeline as
 // the static campaign, within a handful of allocations per op of the
-// static grid:200 baseline (BenchmarkCampaignGrid200).
+// static grid:200 baseline (TestRotatedSteadyStateAllocsGrid200 asserts
+// the bound).
 func BenchmarkRotatedCampaignGrid(b *testing.B) {
 	c, eng := grid200Campaign(b, &Spec{Kind: Periodic, Period: 24, Batch: 4, Downtime: 2})
 	c.SetRotation(eng)

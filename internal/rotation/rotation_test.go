@@ -245,22 +245,22 @@ func TestRotationShrinksFoothold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticFH, err := indicators.FootholdSummary(staticOuts)
-	if err != nil {
-		t.Fatal(err)
+	// Mean foothold over the replications that saw a compromise.
+	meanFoothold := func(outs []indicators.Outcome) float64 {
+		sum, n := 0.0, 0
+		for _, o := range outs {
+			if len(o.Compromised) > 0 {
+				sum += o.FootholdTime
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("no replication saw a compromise")
+		}
+		return sum / float64(n)
 	}
-	rotatedFH, err := indicators.FootholdSummary(rotatedOuts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rotatedFH.Mean >= staticFH.Mean {
-		t.Fatalf("rotation did not shrink mean foothold: rotated %.1f vs static %.1f", rotatedFH.Mean, staticFH.Mean)
-	}
-	if indicators.MeanReinfections(rotatedOuts) == 0 && indicators.MeanReinfections(staticOuts) != 0 {
-		t.Fatal("static deployment reported re-infections")
-	}
-	if rate, err := indicators.ContainmentRate(rotatedOuts, 0.95); err == nil && rate.Point == 0 {
-		t.Log("note: rotation never fully contained a compromised replication (acceptable, horizon-limited)")
+	if rotated, static := meanFoothold(rotatedOuts), meanFoothold(staticOuts); rotated >= static {
+		t.Fatalf("rotation did not shrink mean foothold: rotated %.1f vs static %.1f", rotated, static)
 	}
 	for _, o := range staticOuts {
 		if o.Rotations != 0 || o.Reinfections != 0 || o.RotationCost != 0 {

@@ -6,15 +6,14 @@
 // A SAN is a stochastic extension of Petri nets:
 //
 //   - places hold tokens; the vector of token counts is the marking;
-//   - activities (transitions) are timed (delay drawn from a distribution)
-//     or instantaneous;
+//   - activities (transitions) are timed: their delay is drawn from a
+//     distribution;
 //   - input arcs and input gates control enabling: an activity is enabled
 //     when every input arc's place holds enough tokens and every input
 //     gate's predicate holds;
-//   - on completion an activity consumes its input arcs, executes its
-//     input-gate functions, selects one of its cases at random, then adds
-//     that case's output-arc tokens and executes its output gates;
-//   - reward variables accumulate functions of the marking over time.
+//   - on completion an activity consumes its input arcs, selects one of
+//     its cases at random, then adds that case's output-arc tokens and
+//     executes its output gates.
 //
 // Timer semantics follow the Möbius default: a timed activity samples its
 // completion time when it becomes enabled and keeps it while it stays
@@ -32,11 +31,9 @@ import (
 	"diversify/internal/rng"
 )
 
-// Common errors returned by model validation and execution.
-var (
-	ErrInvalidModel = errors.New("san: invalid model")
-	ErrLivelock     = errors.New("san: instantaneous activity livelock")
-)
+// ErrInvalidModel reports a malformed model, or a run that drove it
+// into an invalid state (a negative marking or an invalid sampled delay).
+var ErrInvalidModel = errors.New("san: invalid model")
 
 // PlaceID identifies a place within its model.
 type PlaceID int
@@ -44,12 +41,9 @@ type PlaceID int
 // Marking is the token count per place, indexed by PlaceID.
 type Marking []int
 
-// Clone returns an independent copy of the marking.
-func (m Marking) Clone() Marking { return append(Marking(nil), m...) }
-
 // CopyInto copies m into dst, reusing dst's backing array when its
 // capacity suffices, and returns the destination. Replication loops use
-// it to recycle one scratch marking across runs instead of Cloning a
+// it to recycle one scratch marking across runs instead of allocating a
 // fresh one per replication (see NewSimReusing).
 func (m Marking) CopyInto(dst Marking) Marking {
 	return append(dst[:0], m...)
@@ -64,12 +58,11 @@ type Arc struct {
 	Tokens int
 }
 
-// InputGate is a guard with an optional marking transformation executed
-// when the owning activity completes.
+// InputGate is a guard: the owning activity is enabled only while
+// Enabled holds.
 type InputGate struct {
 	Name    string
 	Enabled func(m Marking) bool
-	Fn      func(m Marking) // optional; may be nil
 }
 
 // OutputGate transforms the marking when a case is selected.
@@ -92,7 +85,6 @@ type Case struct {
 // Activity is a SAN activity (transition).
 type Activity struct {
 	name     string
-	timed    bool
 	dist     rng.Dist
 	resample bool
 	inputs   []Arc
@@ -105,9 +97,6 @@ type Activity struct {
 
 // Name returns the activity's name.
 func (a *Activity) Name() string { return a.name }
-
-// Timed reports whether the activity has a stochastic delay.
-func (a *Activity) Timed() bool { return a.timed }
 
 // SetResample makes the activity resample its firing time on every marking
 // change while enabled (instead of only when disabled). Used for semantics
@@ -123,12 +112,6 @@ func (a *Activity) Input(p PlaceID, tokens int) *Activity {
 // Guard adds an input gate with only a predicate.
 func (a *Activity) Guard(name string, pred func(m Marking) bool) *Activity {
 	a.gates = append(a.gates, InputGate{Name: name, Enabled: pred})
-	return a
-}
-
-// GuardFn adds an input gate with a predicate and a completion function.
-func (a *Activity) GuardFn(name string, pred func(m Marking) bool, fn func(m Marking)) *Activity {
-	a.gates = append(a.gates, InputGate{Name: name, Enabled: pred, Fn: fn})
 	return a
 }
 
@@ -151,7 +134,8 @@ func (a *Activity) Output(p PlaceID, tokens int) *Activity {
 
 // Model is a SAN definition: places, activities and an initial marking.
 // Build it with the fluent API, Validate it once, then execute it any
-// number of times with NewSim (each Sim owns an independent marking).
+// number of times with NewSimReusing (each Sim owns an independent
+// marking).
 type Model struct {
 	placeNames []string
 	initial    Marking
@@ -168,35 +152,17 @@ func (m *Model) Place(name string, initialTokens int) PlaceID {
 	return PlaceID(len(m.placeNames) - 1)
 }
 
-// PlaceName returns the declared name of p.
-func (m *Model) PlaceName(p PlaceID) string { return m.placeNames[p] }
-
-// Places returns the number of places.
-func (m *Model) Places() int { return len(m.placeNames) }
-
-// Activities returns the model's activities in declaration order.
-func (m *Model) Activities() []*Activity { return m.activities }
-
 // TimedActivity declares an activity whose completion delay is drawn from
 // dist each time it becomes enabled.
 func (m *Model) TimedActivity(name string, dist rng.Dist) *Activity {
-	a := &Activity{name: name, timed: true, dist: dist, model: m, id: len(m.activities)}
-	m.activities = append(m.activities, a)
-	return a
-}
-
-// InstantActivity declares an activity that completes immediately upon
-// enabling (zero delay). Instantaneous activities fire in declaration
-// order when several are enabled at once.
-func (m *Model) InstantActivity(name string) *Activity {
-	a := &Activity{name: name, model: m, id: len(m.activities)}
+	a := &Activity{name: name, dist: dist, model: m, id: len(m.activities)}
 	m.activities = append(m.activities, a)
 	return a
 }
 
 // Validate checks structural well-formedness: arcs reference declared
 // places, every activity has at least one case, fixed case probabilities
-// sum to 1, timed activities have a distribution.
+// sum to 1, activities have a distribution.
 func (m *Model) Validate() error {
 	checkArc := func(owner string, arc Arc) error {
 		if arc.Place < 0 || int(arc.Place) >= len(m.placeNames) {
@@ -209,7 +175,7 @@ func (m *Model) Validate() error {
 		return nil
 	}
 	for _, a := range m.activities {
-		if a.timed && a.dist == nil {
+		if a.dist == nil {
 			return fmt.Errorf("%w: timed activity %q has no distribution", ErrInvalidModel, a.name)
 		}
 		if len(a.cases) == 0 {
@@ -256,28 +222,6 @@ func (a *Activity) enabled(mk Marking) bool {
 	return true
 }
 
-// Firing records one activity completion in a trace.
-type Firing struct {
-	Time     float64
-	Activity string
-	Case     string
-}
-
-// Reward is a rate reward: a function of the marking whose time integral
-// and terminal value the simulator reports.
-type Reward struct {
-	Name string
-	Rate func(m Marking) float64
-}
-
-// RewardValue is the result of a reward variable after a run.
-type RewardValue struct {
-	Name     string
-	Integral float64 // ∫ rate(m(t)) dt over the run
-	Final    float64 // rate(m(T)) at the end of the run
-	TimeAvg  float64 // Integral / elapsed time (0 if no time elapsed)
-}
-
 // Sim executes one trajectory of a Model. Create one Sim per replication;
 // a Sim is single-goroutine only.
 type Sim struct {
@@ -286,28 +230,16 @@ type Sim struct {
 	eng     *des.Sim
 	r       *rng.Rand
 	timers  []des.Handle // per activity; the zero Handle when not scheduled
-	rewards []Reward
-	accum   []float64 // reward integrals
-	lastT   float64
-	trace   []Firing
-	keep    bool
-	maxInst int
 	err     error
 }
 
-// NewSim creates a simulator over model with the given RNG stream. The
-// model must have been validated; NewSim re-validates and returns the
-// error, if any.
-func NewSim(model *Model, r *rng.Rand) (*Sim, error) {
-	return NewSimReusing(model, r, nil)
-}
-
-// NewSimReusing is NewSim with a caller-provided scratch marking: the
-// initial marking is CopyInto'd scratch instead of freshly Cloned, so
-// Monte-Carlo loops that build a Sim per replication can recycle one
-// buffer (per worker) across replications. The Sim owns the scratch for
-// its lifetime; once the run is over, Marking() returns it for reuse.
-// A nil scratch behaves exactly like NewSim.
+// NewSimReusing creates a simulator over model with the given RNG
+// stream. It re-validates the model and returns the error, if any. The
+// initial marking is CopyInto'd scratch, so Monte-Carlo loops that build
+// a Sim per replication can recycle one buffer (per worker) across
+// replications. The Sim owns the scratch for its lifetime; once the run
+// is over, Marking() returns it for reuse. A nil scratch gets a fresh
+// marking.
 func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -318,22 +250,8 @@ func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
 		eng:     des.NewSim(),
 		r:       r,
 		timers:  make([]des.Handle, len(model.activities)),
-		maxInst: 10000,
 	}
 	return s, nil
-}
-
-// KeepTrace enables recording of every firing (off by default to keep
-// campaign memory bounded).
-func (s *Sim) KeepTrace() { s.keep = true }
-
-// Trace returns the recorded firings (empty unless KeepTrace was called).
-func (s *Sim) Trace() []Firing { return s.trace }
-
-// AddReward registers a rate reward before the run starts.
-func (s *Sim) AddReward(rw Reward) {
-	s.rewards = append(s.rewards, rw)
-	s.accum = append(s.accum, 0)
 }
 
 // Marking returns the live marking (do not mutate).
@@ -342,22 +260,9 @@ func (s *Sim) Marking() Marking { return s.marking }
 // Now returns the current virtual time.
 func (s *Sim) Now() float64 { return s.eng.Now() }
 
-// accumulate integrates rewards up to the current engine time.
-func (s *Sim) accumulate() {
-	now := s.eng.Now()
-	dt := now - s.lastT
-	if dt > 0 {
-		for i, rw := range s.rewards {
-			s.accum[i] += rw.Rate(s.marking) * dt
-		}
-	}
-	s.lastT = now
-}
-
-// fire completes activity a: consume inputs, run gate functions, select a
-// case, apply outputs.
+// fire completes activity a: consume inputs, select a case, apply
+// outputs.
 func (s *Sim) fire(a *Activity) {
-	s.accumulate()
 	for _, arc := range a.inputs {
 		s.marking[arc.Place] -= arc.Tokens
 		if s.marking[arc.Place] < 0 {
@@ -365,11 +270,6 @@ func (s *Sim) fire(a *Activity) {
 				ErrInvalidModel, s.model.placeNames[arc.Place], a.name)
 			s.eng.Stop()
 			return
-		}
-	}
-	for _, g := range a.gates {
-		if g.Fn != nil {
-			g.Fn(s.marking)
 		}
 	}
 	c := s.selectCase(a)
@@ -380,9 +280,6 @@ func (s *Sim) fire(a *Activity) {
 		if og.Fn != nil {
 			og.Fn(s.marking)
 		}
-	}
-	if s.keep {
-		s.trace = append(s.trace, Firing{Time: s.eng.Now(), Activity: a.name, Case: c.Name})
 	}
 }
 
@@ -435,37 +332,10 @@ func (s *Sim) selectCase(a *Activity) *Case {
 	return &a.cases[len(a.cases)-1]
 }
 
-// resync brings timers in line with the new marking: fires enabled
-// instantaneous activities to quiescence, cancels timers of disabled
-// activities, schedules timers for newly enabled ones.
+// resync brings timers in line with the new marking: cancels timers of
+// disabled activities, schedules timers for newly enabled ones.
 func (s *Sim) resync() {
-	// Drain instantaneous activities first (in declaration order).
-	for iter := 0; ; iter++ {
-		if iter > s.maxInst {
-			s.err = ErrLivelock
-			s.eng.Stop()
-			return
-		}
-		fired := false
-		for _, a := range s.model.activities {
-			if !a.timed && a.enabled(s.marking) {
-				s.fire(a)
-				if s.err != nil {
-					return
-				}
-				fired = true
-				break // marking changed; restart the scan
-			}
-		}
-		if !fired {
-			break
-		}
-	}
-	// Reconcile timed activity timers.
 	for _, a := range s.model.activities {
-		if !a.timed {
-			continue
-		}
 		timer := s.timers[a.id]
 		active := !timer.Cancelled()
 		en := a.enabled(s.marking)
@@ -502,23 +372,6 @@ func (s *Sim) schedule(a *Activity) {
 	})
 }
 
-// Run executes the SAN until the horizon. Returns any execution error
-// (livelock, negative marking, invalid sample).
-func (s *Sim) Run(horizon float64) error {
-	s.resync()
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.eng.Run(horizon); err != nil && !errors.Is(err, des.ErrStopped) {
-		return err
-	}
-	if s.err != nil {
-		return s.err
-	}
-	s.accumulate()
-	return nil
-}
-
 // RunUntil executes until pred(marking) holds or the horizon passes. It
 // returns whether the predicate was satisfied and the time at which it
 // first held.
@@ -534,20 +387,5 @@ func (s *Sim) RunUntil(horizon float64, pred func(m Marking) bool) (bool, float6
 	if s.err != nil {
 		return false, 0, s.err
 	}
-	s.accumulate()
 	return ok, s.eng.Now(), nil
-}
-
-// Rewards returns the reward variables' values for the run so far.
-func (s *Sim) Rewards() []RewardValue {
-	out := make([]RewardValue, len(s.rewards))
-	elapsed := s.eng.Now()
-	for i, rw := range s.rewards {
-		v := RewardValue{Name: rw.Name, Integral: s.accum[i], Final: rw.Rate(s.marking)}
-		if elapsed > 0 {
-			v.TimeAvg = s.accum[i] / elapsed
-		}
-		out[i] = v
-	}
-	return out
 }

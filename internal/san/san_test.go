@@ -2,6 +2,7 @@ package san
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -12,11 +13,33 @@ import (
 
 func mustSim(t *testing.T, m *Model, seed uint64) *Sim {
 	t.Helper()
-	s, err := NewSim(m, rng.New(seed))
+	s, err := NewSimReusing(m, rng.New(seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// run executes s to the horizon.
+func run(s *Sim, horizon float64) error {
+	_, _, err := s.RunUntil(horizon, func(Marking) bool { return false })
+	return err
+}
+
+// step is the clock and the marking after one event.
+type step struct {
+	t  float64
+	mk string
+}
+
+// runTrace executes s to the horizon and records every step.
+func runTrace(s *Sim, horizon float64) ([]step, error) {
+	var out []step
+	_, _, err := s.RunUntil(horizon, func(mk Marking) bool {
+		out = append(out, step{t: s.Now(), mk: fmt.Sprint(mk)})
+		return false
+	})
+	return out, err
 }
 
 func TestSimpleTimedTransfer(t *testing.T) {
@@ -26,16 +49,15 @@ func TestSimpleTimedTransfer(t *testing.T) {
 	m.TimedActivity("move", rng.Deterministic{Value: 2.5}).Input(src, 1).Output(dst, 1)
 
 	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(10); err != nil {
+	ok, at, err := s.RunUntil(10, func(mk Marking) bool { return mk[dst] == 1 })
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !ok || at != 2.5 {
+		t.Fatalf("ok=%v at=%v, want the move at 2.5", ok, at)
 	}
 	if s.Marking().Tokens(src) != 0 || s.Marking().Tokens(dst) != 1 {
 		t.Fatalf("marking = %v, want [0 1]", s.Marking())
-	}
-	tr := s.Trace()
-	if len(tr) != 1 || tr[0].Time != 2.5 || tr[0].Activity != "move" {
-		t.Fatalf("trace = %+v", tr)
 	}
 }
 
@@ -45,7 +67,7 @@ func TestActivityWaitsForTokens(t *testing.T) {
 	dst := m.Place("dst", 0)
 	m.TimedActivity("move", rng.Deterministic{Value: 1}).Input(src, 1).Output(dst, 1)
 	s := mustSim(t, m, 1)
-	if err := s.Run(100); err != nil {
+	if err := run(s, 100); err != nil {
 		t.Fatal(err)
 	}
 	if s.Marking().Tokens(dst) != 0 {
@@ -59,7 +81,7 @@ func TestMultiTokenArc(t *testing.T) {
 	dst := m.Place("dst", 0)
 	m.TimedActivity("batch", rng.Deterministic{Value: 1}).Input(src, 2).Output(dst, 1)
 	s := mustSim(t, m, 1)
-	if err := s.Run(10); err != nil {
+	if err := run(s, 10); err != nil {
 		t.Fatal(err)
 	}
 	// 5 tokens allow two firings (consuming 4), leaving 1.
@@ -81,7 +103,7 @@ func TestCaseProbabilities(t *testing.T) {
 			Case(Case{Name: "toA", Prob: 0.3, Outputs: []Arc{{Place: a, Tokens: 1}}}).
 			Case(Case{Name: "toB", Prob: 0.7, Outputs: []Arc{{Place: b, Tokens: 1}}})
 		s := mustSim(t, m, uint64(i))
-		if err := s.Run(2); err != nil {
+		if err := run(s, 2); err != nil {
 			t.Fatal(err)
 		}
 		if s.Marking().Tokens(a) == 1 {
@@ -106,17 +128,13 @@ func TestInputGateBlocks(t *testing.T) {
 	m.TimedActivity("opener", rng.Deterministic{Value: 3}).Input(aux, 1).Output(gate, 1)
 
 	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(100); err != nil {
+	ok, at, err := s.RunUntil(100, func(mk Marking) bool { return mk[dst] > 0 })
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := s.Trace()
-	if len(tr) != 2 {
-		t.Fatalf("trace = %+v", tr)
-	}
 	// "open" samples its 5-unit delay only once enabled at t=3 → fires at 8.
-	if tr[1].Activity != "open" || tr[1].Time != 8 {
-		t.Fatalf("gated activity fired at %v, want 8: %+v", tr[1].Time, tr)
+	if !ok || at != 8 {
+		t.Fatalf("gated activity fired at %v (ok=%v), want 8", at, ok)
 	}
 }
 
@@ -131,46 +149,11 @@ func TestOutputGateFunction(t *testing.T) {
 			Gates: []OutputGate{{Name: "setCounter", Fn: func(mk Marking) { mk[counter] = 42 }}},
 		})
 	s := mustSim(t, m, 1)
-	if err := s.Run(5); err != nil {
+	if err := run(s, 5); err != nil {
 		t.Fatal(err)
 	}
 	if s.Marking().Tokens(counter) != 42 {
 		t.Fatalf("output gate did not run: counter = %d", s.Marking().Tokens(counter))
-	}
-}
-
-func TestInstantaneousChain(t *testing.T) {
-	m := NewModel()
-	a := m.Place("a", 1)
-	b := m.Place("b", 0)
-	c := m.Place("c", 0)
-	m.InstantActivity("ab").Input(a, 1).Output(b, 1)
-	m.InstantActivity("bc").Input(b, 1).Output(c, 1)
-	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Marking().Tokens(c) != 1 {
-		t.Fatalf("chain did not complete: %v", s.Marking())
-	}
-	for _, f := range s.Trace() {
-		if f.Time != 0 {
-			t.Fatalf("instantaneous firing at t=%v", f.Time)
-		}
-	}
-}
-
-func TestLivelockDetected(t *testing.T) {
-	m := NewModel()
-	a := m.Place("a", 1)
-	b := m.Place("b", 0)
-	m.InstantActivity("ab").Input(a, 1).Output(b, 1)
-	m.InstantActivity("ba").Input(b, 1).Output(a, 1)
-	s := mustSim(t, m, 1)
-	err := s.Run(1)
-	if !errors.Is(err, ErrLivelock) {
-		t.Fatalf("err = %v, want ErrLivelock", err)
 	}
 }
 
@@ -188,7 +171,7 @@ func TestRaceCancelsLoserTimer(t *testing.T) {
 		m.TimedActivity("fast", rng.Exponential{Rate: r1}).Input(src, 1).Output(a, 1)
 		m.TimedActivity("slow", rng.Exponential{Rate: r2}).Input(src, 1).Output(b, 1)
 		s := mustSim(t, m, uint64(i)+999)
-		if err := s.Run(1000); err != nil {
+		if err := run(s, 1000); err != nil {
 			t.Fatal(err)
 		}
 		total := s.Marking().Tokens(a) + s.Marking().Tokens(b)
@@ -203,30 +186,6 @@ func TestRaceCancelsLoserTimer(t *testing.T) {
 	want := r1 / (r1 + r2)
 	if math.Abs(got-want) > 0.025 {
 		t.Fatalf("fast-activity win rate %v, want ~%v", got, want)
-	}
-}
-
-func TestRewardIntegral(t *testing.T) {
-	m := NewModel()
-	up := m.Place("up", 1)
-	down := m.Place("down", 0)
-	m.TimedActivity("fail", rng.Deterministic{Value: 4}).Input(up, 1).Output(down, 1)
-	s := mustSim(t, m, 1)
-	s.AddReward(Reward{Name: "availability", Rate: func(mk Marking) float64 {
-		return float64(mk[up])
-	}})
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	rv := s.Rewards()[0]
-	if math.Abs(rv.Integral-4) > 1e-9 {
-		t.Fatalf("integral = %v, want 4", rv.Integral)
-	}
-	if math.Abs(rv.TimeAvg-0.4) > 1e-9 {
-		t.Fatalf("time average = %v, want 0.4", rv.TimeAvg)
-	}
-	if rv.Final != 0 {
-		t.Fatalf("final = %v, want 0", rv.Final)
 	}
 }
 
@@ -309,7 +268,7 @@ func TestDynamicWeights(t *testing.T) {
 			Case(Case{Name: "B", WeightFn: func(Marking) float64 { return 5 },
 				Outputs: []Arc{{Place: b, Tokens: 1}}})
 		s := mustSim(t, m, uint64(i))
-		if err := s.Run(2); err != nil {
+		if err := run(s, 2); err != nil {
 			t.Fatal(err)
 		}
 		if s.Marking().Tokens(b) == 1 {
@@ -333,18 +292,14 @@ func TestDeterminismSameSeed(t *testing.T) {
 			Case(Case{Name: "back", Prob: 0.4, Outputs: []Arc{{Place: src, Tokens: 1}}})
 		return m
 	}
-	run := func() []Firing {
-		s, err := NewSim(build(), rng.New(77))
+	trace := func() []step {
+		steps, err := runTrace(mustSim(t, build(), 77), 50)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.KeepTrace()
-		if err := s.Run(50); err != nil {
-			t.Fatal(err)
-		}
-		return s.Trace()
+		return steps
 	}
-	t1, t2 := run(), run()
+	t1, t2 := trace(), trace()
 	if len(t1) != len(t2) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(t1), len(t2))
 	}
@@ -366,11 +321,11 @@ func TestQuickTokenConservation(t *testing.T) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(b, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(b, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSim(m, rng.New(seed))
+		s, err := NewSimReusing(m, rng.New(seed), nil)
 		if err != nil {
 			return false
 		}
-		if err := s.Run(20); err != nil {
+		if err := run(s, 20); err != nil {
 			return false
 		}
 		mk := s.Marking()
@@ -391,7 +346,7 @@ func TestResampleFlag(t *testing.T) {
 	m.TimedActivity("toA", rng.Exponential{Rate: 1}).Input(src, 1).Output(a, 1).SetResample(true)
 	m.TimedActivity("toB", rng.Exponential{Rate: 1}).Input(src, 1).Output(b, 1).SetResample(true)
 	s := mustSim(t, m, 5)
-	if err := s.Run(1000); err != nil {
+	if err := run(s, 1000); err != nil {
 		t.Fatal(err)
 	}
 	mk := s.Marking()
@@ -422,7 +377,7 @@ func TestAttackStagePipelineShape(t *testing.T) {
 	succ := 0
 	const reps = 2000
 	for i := 0; i < reps; i++ {
-		s, err := NewSim(m, rng.New(uint64(i)))
+		s, err := NewSimReusing(m, rng.New(uint64(i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,11 +411,11 @@ func BenchmarkSANRing(b *testing.B) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(bb, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(bb, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSim(m, rng.New(uint64(i)))
+		s, err := NewSimReusing(m, rng.New(uint64(i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(100); err != nil {
+		if err := run(s, 100); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -490,7 +445,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Keep semantics: stage completes at t=2.
 	m, done := build(false)
-	s, err := NewSim(m, rng.New(1))
+	s, err := NewSimReusing(m, rng.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +458,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Resample semantics: heartbeat every 0.9 restarts the 2.0 timer.
 	m, done = build(true)
-	s, err = NewSim(m, rng.New(1))
+	s, err = NewSimReusing(m, rng.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +489,7 @@ func TestResampleExponentialEquivalence(t *testing.T) {
 			stage.SetResample(resample)
 			m.TimedActivity("beat", rng.Exponential{Rate: 1.1}).
 				Input(beat, 1).Output(beat, 1)
-			s, err := NewSim(m, rng.New(seed+uint64(i)))
+			s, err := NewSimReusing(m, rng.New(seed+uint64(i)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -597,12 +552,9 @@ func TestNewSimReusingMatchesFresh(t *testing.T) {
 	var scratch Marking
 	for seed := uint64(1); seed <= 6; seed++ {
 		m, _ := build()
-		fresh, err := NewSim(m, rng.New(seed))
+		fresh := mustSim(t, m, seed)
+		ft, err := runTrace(fresh, 20)
 		if err != nil {
-			t.Fatal(err)
-		}
-		fresh.KeepTrace()
-		if err := fresh.Run(20); err != nil {
 			t.Fatal(err)
 		}
 		m2, _ := build()
@@ -610,14 +562,13 @@ func TestNewSimReusingMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused.KeepTrace()
-		if err := reused.Run(20); err != nil {
+		rt, err := runTrace(reused, 20)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(fresh.Marking(), reused.Marking()) {
 			t.Fatalf("seed %d: markings diverged: %v vs %v", seed, fresh.Marking(), reused.Marking())
 		}
-		ft, rt := fresh.Trace(), reused.Trace()
 		if len(ft) != len(rt) {
 			t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(ft), len(rt))
 		}

@@ -43,25 +43,14 @@ type Alarm struct {
 
 // HMI polls PLCs (through their supervisory interface, which replay
 // spoofing subverts) and raises alarms when values leave their bands.
-// With replay detection enabled it additionally flags signals whose
-// history repeats bit-identically — the countermeasure to the spoofing.
 type HMI struct {
-	watches      []AlarmWatch
-	alarms       []Alarm
-	detector     *ReplayDetector
-	replayRaised map[string]bool
+	watches []AlarmWatch
+	alarms  []Alarm
 }
 
 // NewHMI returns an HMI with the given alarm watches.
 func NewHMI(watches []AlarmWatch) *HMI {
 	return &HMI{watches: append([]AlarmWatch(nil), watches...)}
-}
-
-// EnableReplayDetection attaches a replay detector over every watch; a
-// flagged signal raises a single "replay:<watch>" alarm.
-func (h *HMI) EnableReplayDetection(window, minCycles int) {
-	h.detector = NewReplayDetector(window, minCycles)
-	h.replayRaised = map[string]bool{}
 }
 
 // Poll reads every watch once and records alarms. Returns the number of
@@ -75,11 +64,6 @@ func (h *HMI) Poll(now float64) int {
 		}
 		if v < w.Min || v > w.Max {
 			h.alarms = append(h.alarms, Alarm{Time: now, Watch: w.Name, Value: v})
-			raised++
-		}
-		if h.detector != nil && h.detector.Observe(w.Name, v) && !h.replayRaised[w.Name] {
-			h.replayRaised[w.Name] = true
-			h.alarms = append(h.alarms, Alarm{Time: now, Watch: "replay:" + w.Name, Value: v})
 			raised++
 		}
 	}
@@ -126,9 +110,6 @@ func (h *Historian) Record(s HistorianSample) {
 	}
 }
 
-// Samples returns the archived samples oldest-first.
-func (h *Historian) Samples() []HistorianSample { return h.samples }
-
 // PlantConfig wires a physical process to its controllers and
 // supervision.
 type PlantConfig struct {
@@ -145,10 +126,9 @@ type PlantConfig struct {
 // Plant couples the discrete-event engine, the physical process, the
 // PLCs and the HMI into a closed control loop.
 type Plant struct {
-	cfg   PlantConfig
-	sim   *des.Sim
-	r     *rng.Rand
-	stops []func()
+	cfg PlantConfig
+	sim *des.Sim
+	r   *rng.Rand
 }
 
 // NewPlant validates the wiring and prepares the loop on the given
@@ -184,7 +164,7 @@ func NewPlant(sim *des.Sim, r *rng.Rand, cfg PlantConfig) (*Plant, error) {
 // commands are applied; every PollPeriod the HMI polls and the historian
 // records.
 func (p *Plant) Start() {
-	stepStop := p.sim.Every(p.cfg.StepPeriod, func(now float64) {
+	p.sim.Every(p.cfg.StepPeriod, func(now float64) {
 		p.cfg.Process.Step(p.cfg.StepPeriod)
 		sensors := p.cfg.Process.Sensors()
 		for _, sb := range p.cfg.Sensors {
@@ -221,10 +201,9 @@ func (p *Plant) Start() {
 			p.cfg.Process.Actuate(cmds)
 		}
 	})
-	p.stops = append(p.stops, stepStop)
 
 	if p.cfg.HMI != nil {
-		pollStop := p.sim.Every(p.cfg.PollPeriod, func(now float64) {
+		p.sim.Every(p.cfg.PollPeriod, func(now float64) {
 			p.cfg.HMI.Poll(now)
 			if p.cfg.Historian != nil {
 				for _, w := range p.cfg.HMI.watches {
@@ -236,14 +215,5 @@ func (p *Plant) Start() {
 				}
 			}
 		})
-		p.stops = append(p.stops, pollStop)
 	}
-}
-
-// Stop cancels the scheduled loops.
-func (p *Plant) Stop() {
-	for _, s := range p.stops {
-		s()
-	}
-	p.stops = nil
 }

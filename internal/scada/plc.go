@@ -36,20 +36,21 @@ type PLC struct {
 	Name  string
 	Model *modbus.MemoryModel
 
-	program   Program
-	holdingN  int
-	inputN    int
-	coilN     int
-	scanCount uint64
+	program  Program
+	holdingN int
+	inputN   int
+	coilN    int
 
-	compromised bool
 	// Replay spoofing state: recorded input-register snapshots replayed
 	// to supervisory reads.
 	recording [][]uint16
 	replayPos int
 	replaying bool
-	recordCap int
 }
+
+// recordWindow bounds the replay recorder to the last recordWindow scans
+// (the attacker's loop length).
+const recordWindow = 256
 
 // NewPLC builds a PLC with the given register bank sizes and validated
 // program.
@@ -58,13 +59,12 @@ func NewPLC(name string, holdingN, inputN, coilN int, program Program) (*PLC, er
 		return nil, fmt.Errorf("plc %q: %w", name, err)
 	}
 	return &PLC{
-		Name:      name,
-		Model:     modbus.NewMemoryModel(holdingN, inputN, coilN, coilN),
-		program:   program,
-		holdingN:  holdingN,
-		inputN:    inputN,
-		coilN:     coilN,
-		recordCap: 256,
+		Name:     name,
+		Model:    modbus.NewMemoryModel(holdingN, inputN, coilN, coilN),
+		program:  program,
+		holdingN: holdingN,
+		inputN:   inputN,
+		coilN:    coilN,
 	}, nil
 }
 
@@ -136,25 +136,8 @@ func (p *PLC) SetHolding(reg int, value float64) error {
 // Scan executes one scan cycle: snapshot inputs for the replay recorder,
 // then run the logic program.
 func (p *PLC) Scan() {
-	p.scanCount++
 	p.recordInputs()
 	p.program.run(p)
-}
-
-// ScanCount returns the number of executed scan cycles.
-func (p *PLC) ScanCount() uint64 { return p.scanCount }
-
-// SetRecordWindow bounds the replay recorder to the last n scans (the
-// attacker's loop length). Existing history is truncated to fit.
-func (p *PLC) SetRecordWindow(n int) error {
-	if n < 1 {
-		return fmt.Errorf("scada: record window %d < 1", n)
-	}
-	p.recordCap = n
-	if len(p.recording) > n {
-		p.recording = p.recording[len(p.recording)-n:]
-	}
-	return nil
 }
 
 // recordInputs maintains the rolling window the replay spoofer plays
@@ -176,8 +159,8 @@ func (p *PLC) recordInputs() {
 		}
 	}
 	p.recording = append(p.recording, snap)
-	if len(p.recording) > p.recordCap {
-		p.recording = p.recording[len(p.recording)-p.recordCap:]
+	if len(p.recording) > recordWindow {
+		p.recording = p.recording[len(p.recording)-recordWindow:]
 	}
 }
 
@@ -188,7 +171,6 @@ func (p *PLC) InjectLogic(malicious Program) error {
 		return err
 	}
 	p.program = malicious
-	p.compromised = true
 	return nil
 }
 
@@ -200,16 +182,8 @@ func (p *PLC) StartReplay() error {
 	}
 	p.replaying = true
 	p.replayPos = 0
-	p.compromised = true
 	return nil
 }
-
-// Compromised reports whether the PLC runs injected logic or spoofs
-// reads.
-func (p *PLC) Compromised() bool { return p.compromised }
-
-// Replaying reports whether supervisory reads are being spoofed.
-func (p *PLC) Replaying() bool { return p.replaying }
 
 // SupervisoryInput returns the input-register value as seen by the HMI:
 // the live value normally, or the recorded loop while replay spoofing is

@@ -49,18 +49,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-// It returns NaN for empty input or q outside [0, 1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 // quantileSorted computes the quantile of an already-sorted slice.
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
@@ -151,156 +139,4 @@ func ProportionCI(successes, n int, level float64) (Interval, error) {
 	center := (p + z*z/(2*nf)) / denom
 	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
 	return Interval{Point: p, Lo: math.Max(0, center-half), Hi: math.Min(1, center+half), Level: level}, nil
-}
-
-// WelchT compares the means of two samples without assuming equal
-// variances. It returns the t statistic, the Welch–Satterthwaite degrees
-// of freedom and the two-sided p-value.
-func WelchT(a, b []float64) (t, df, p float64, err error) {
-	if len(a) < 2 || len(b) < 2 {
-		return 0, 0, 0, fmt.Errorf("stats: WelchT needs >=2 samples per group (got %d, %d)", len(a), len(b))
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a), Variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	sa, sb := va/na, vb/nb
-	se := math.Sqrt(sa + sb)
-	if se == 0 {
-		if ma == mb {
-			return 0, na + nb - 2, 1, nil
-		}
-		return math.Inf(sign(ma - mb)), na + nb - 2, 0, nil
-	}
-	t = (ma - mb) / se
-	df = (sa + sb) * (sa + sb) / (sa*sa/(na-1) + sb*sb/(nb-1))
-	cdf, cerr := StudentTCDF(-math.Abs(t), df)
-	if cerr != nil {
-		return 0, 0, 0, cerr
-	}
-	return t, df, 2 * cdf, nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied, then sorted).
-func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of samples <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Len returns the number of underlying samples.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// KolmogorovSmirnov returns the two-sample KS statistic D = sup |F_a −
-// F_b| and an asymptotic two-sided p-value. The experiments use it to
-// quantify how far diversity shifts the Time-To-Attack distribution.
-func KolmogorovSmirnov(a, b []float64) (d, p float64, err error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, fmt.Errorf("stats: KolmogorovSmirnov needs non-empty samples (%d, %d)", len(a), len(b))
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	i, j := 0, 0
-	na, nb := float64(len(sa)), float64(len(sb))
-	for i < len(sa) && j < len(sb) {
-		x := math.Min(sa[i], sb[j])
-		for i < len(sa) && sa[i] <= x {
-			i++
-		}
-		for j < len(sb) && sb[j] <= x {
-			j++
-		}
-		if diff := math.Abs(float64(i)/na - float64(j)/nb); diff > d {
-			d = diff
-		}
-	}
-	// Asymptotic Kolmogorov distribution tail.
-	ne := na * nb / (na + nb)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	p = ksTail(lambda)
-	return d, p, nil
-}
-
-// ksTail evaluates Q_KS(λ) = 2 Σ (−1)^{k−1} e^{−2k²λ²}.
-func ksTail(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	sum := 0.0
-	sign := 1.0
-	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k)*float64(k)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples >= Hi
-}
-
-// NewHistogram bins xs into bins equal-width buckets over [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram spec [%v,%v) bins=%d", lo, hi, bins)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/width)]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of samples recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery for the framework:
-// descriptive statistics over replication outputs, empirical distributions,
-// confidence intervals, hypothesis tests, and the special functions needed
-// to compute p-values for ANOVA (regularized incomplete beta and gamma,
-// Student-t / F / chi-square / normal CDFs).
+// descriptive statistics over replication outputs, confidence intervals,
+// and the special functions needed to compute p-values for ANOVA
+// (regularized incomplete beta, Student-t / F / normal CDFs).
 //
 // All routines are pure functions over float64 slices; none of them mutate
 // their inputs unless explicitly documented.
@@ -83,58 +82,6 @@ func RegIncBeta(a, b, x float64) (float64, error) {
 		}
 	}
 	return front * (f - 1), nil // best effort after max iterations
-}
-
-// RegIncGammaP returns the regularized lower incomplete gamma function
-// P(a, x) for a > 0, x >= 0.
-func RegIncGammaP(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(x) {
-		return 0, ErrDomain
-	}
-	if x == 0 {
-		return 0, nil
-	}
-	if x < a+1 {
-		// Series representation.
-		ap := a
-		sum := 1 / a
-		del := sum
-		for i := 0; i < betaMaxIter; i++ {
-			ap++
-			del *= x / ap
-			sum += del
-			if math.Abs(del) < math.Abs(sum)*betaEps {
-				break
-			}
-		}
-		return sum * math.Exp(-x+a*math.Log(x)-LogGamma(a)), nil
-	}
-	// Continued fraction for Q(a, x), then P = 1 − Q.
-	const tiny = 1e-30
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= betaMaxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < betaEps {
-			break
-		}
-	}
-	q := math.Exp(-x+a*math.Log(x)-LogGamma(a)) * h
-	return 1 - q, nil
 }
 
 // NormalCDF returns P(Z <= z) for a standard normal Z.
@@ -252,16 +199,4 @@ func FSurvival(f, d1, d2 float64) (float64, error) {
 		return 0, err
 	}
 	return 1 - c, nil
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square with df degrees of
-// freedom.
-func ChiSquareCDF(x, df float64) (float64, error) {
-	if df <= 0 {
-		return 0, ErrDomain
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return RegIncGammaP(df/2, x/2)
 }

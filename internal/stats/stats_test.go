@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,15 +33,15 @@ func TestMeanEmpty(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	almost(t, "median", Quantile(xs, 0.5), 3, 1e-12)
-	almost(t, "q0", Quantile(xs, 0), 1, 1e-12)
-	almost(t, "q1", Quantile(xs, 1), 5, 1e-12)
-	almost(t, "q0.25", Quantile(xs, 0.25), 2, 1e-12)
-	// Input must not be reordered.
+	almost(t, "median", quantileSorted(xs, 0.5), 3, 1e-12)
+	almost(t, "q0", quantileSorted(xs, 0), 1, 1e-12)
+	almost(t, "q1", quantileSorted(xs, 1), 5, 1e-12)
+	almost(t, "q0.25", quantileSorted(xs, 0.25), 2, 1e-12)
+	// Describe sorts a copy: its input must not be reordered.
 	unsorted := []float64{5, 1, 3}
-	Quantile(unsorted, 0.5)
+	Describe(unsorted)
 	if unsorted[0] != 5 || unsorted[2] != 3 {
-		t.Fatal("Quantile mutated its input")
+		t.Fatal("Describe mutated its input")
 	}
 }
 
@@ -87,17 +88,6 @@ func TestRegIncBetaDomain(t *testing.T) {
 	}
 	if _, err := RegIncBeta(1, 1, 1.5); err == nil {
 		t.Fatal("expected domain error for x>1")
-	}
-}
-
-func TestRegIncGamma(t *testing.T) {
-	// P(1, x) = 1 - e^{-x}.
-	for _, x := range []float64{0.1, 1, 3, 10} {
-		v, err := RegIncGammaP(1, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		almost(t, "P(1,x)", v, 1-math.Exp(-x), 1e-10)
 	}
 }
 
@@ -167,17 +157,6 @@ func TestFCDFKnownValues(t *testing.T) {
 	almost(t, "F surv at crit", p, 0.05, 0.002)
 }
 
-func TestChiSquareCDF(t *testing.T) {
-	// Chi-square df=2 is Exp(1/2): CDF(x) = 1 - e^{-x/2}.
-	for _, x := range []float64{0.5, 2, 5} {
-		v, err := ChiSquareCDF(x, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		almost(t, "chi2(2)", v, 1-math.Exp(-x/2), 1e-10)
-	}
-}
-
 func TestMeanCICoverage(t *testing.T) {
 	// Property: a 90% CI should cover the true mean ~90% of the time.
 	r := rng.New(123)
@@ -233,63 +212,6 @@ func TestProportionCI(t *testing.T) {
 	}
 }
 
-func TestWelchT(t *testing.T) {
-	a := []float64{27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7, 21.4}
-	b := []float64{27.1, 22.0, 20.8, 23.4, 23.4, 23.5, 25.8, 22.0, 24.8, 20.2, 21.9, 22.1, 22.9, 30.0, 23.9}
-	tstat, df, p, err := WelchT(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference values computed independently (hand/awk): t = -2.835264,
-	// df = 27.713626; two-sided p for |t|=2.8353 at df≈27.7 is ≈0.0085.
-	almost(t, "t", tstat, -2.835264, 1e-5)
-	almost(t, "df", df, 27.713626, 1e-4)
-	if p < 0.007 || p > 0.010 {
-		t.Errorf("p = %v, want ~0.0085", p)
-	}
-}
-
-func TestWelchTIdentical(t *testing.T) {
-	a := []float64{1, 1, 1}
-	tstat, _, p, err := WelchT(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tstat != 0 || p != 1 {
-		t.Fatalf("identical zero-variance samples: t=%v p=%v", tstat, p)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	almost(t, "F(0)", e.At(0), 0, 1e-12)
-	almost(t, "F(1)", e.At(1), 0.25, 1e-12)
-	almost(t, "F(2)", e.At(2), 0.75, 1e-12)
-	almost(t, "F(10)", e.At(10), 1, 1e-12)
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 0.5, 1.5, 2.5, 99}, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over wrong: %+v", h)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("counts wrong: %v", h.Counts)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if _, err := NewHistogram(nil, 3, 0, 3); err == nil {
-		t.Fatal("inverted range should error")
-	}
-}
-
 // Property: CDFs are monotone nondecreasing and bounded in [0,1].
 func TestQuickCDFMonotone(t *testing.T) {
 	f := func(aRaw, bRaw uint8, x1, x2 float64) bool {
@@ -332,7 +254,8 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		if q1 > q2 {
 			q1, q2 = q2, q1
 		}
-		return Quantile(xs, q1) <= Quantile(xs, q2)+1e-9
+		slices.Sort(xs)
+		return quantileSorted(xs, q1) <= quantileSorted(xs, q2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -356,85 +279,5 @@ func BenchmarkDescribe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Describe(xs)
-	}
-}
-
-func TestKolmogorovSmirnovIdentical(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	d, p, err := KolmogorovSmirnov(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 || p < 0.99 {
-		t.Fatalf("identical samples: d=%v p=%v", d, p)
-	}
-}
-
-func TestKolmogorovSmirnovSeparated(t *testing.T) {
-	r := rng.New(61)
-	a := make([]float64, 300)
-	b := make([]float64, 300)
-	for i := range a {
-		a[i] = r.Normal(0, 1)
-		b[i] = r.Normal(3, 1) // well-separated
-	}
-	d, p, err := KolmogorovSmirnov(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0.5 {
-		t.Fatalf("separated samples: d=%v", d)
-	}
-	if p > 1e-6 {
-		t.Fatalf("separated samples p=%v, want tiny", p)
-	}
-}
-
-func TestKolmogorovSmirnovSameDistribution(t *testing.T) {
-	r := rng.New(67)
-	a := make([]float64, 500)
-	b := make([]float64, 500)
-	for i := range a {
-		a[i] = r.Exp(1)
-		b[i] = r.Exp(1)
-	}
-	d, p, err := KolmogorovSmirnov(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.15 {
-		t.Fatalf("same-dist d=%v", d)
-	}
-	if p < 0.01 {
-		t.Fatalf("same-dist p=%v suspiciously small", p)
-	}
-}
-
-func TestKolmogorovSmirnovErrors(t *testing.T) {
-	if _, _, err := KolmogorovSmirnov(nil, []float64{1}); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-}
-
-// Property: KS statistic is symmetric and within [0, 1].
-func TestQuickKSBounds(t *testing.T) {
-	f := func(seedA, seedB uint64, nRaw uint8) bool {
-		n := int(nRaw%40) + 2
-		ra, rb := rng.New(seedA), rng.New(seedB)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a[i] = ra.Float64()
-			b[i] = rb.Float64() * 2
-		}
-		d1, _, err1 := KolmogorovSmirnov(a, b)
-		d2, _, err2 := KolmogorovSmirnov(b, a)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -190,17 +189,6 @@ func (c *Collector) Report() *Report {
 	r.StrategyRounds = copyIntMap(c.report.StrategyRounds)
 	r.StrategyWallSeconds = copyFloatMap(c.report.StrategyWallSeconds)
 	return &r
-}
-
-// Strategies returns the strategy names seen in the round stream,
-// sorted — convenience for report rendering.
-func (r *Report) Strategies() []string {
-	out := make([]string, 0, len(r.StrategyRounds))
-	for k := range r.StrategyRounds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func copyIntMap(m map[string]int) map[string]int {

@@ -44,9 +44,6 @@ func TestCollectorReport(t *testing.T) {
 	if got := r.StrategyWallSeconds["anneal"]; math.Abs(got-0.15) > 1e-9 {
 		t.Fatalf("anneal wall = %v, want 0.15", got)
 	}
-	if got := []string{"anneal", "greedy"}; r.Strategies()[0] != got[0] || r.Strategies()[1] != got[1] {
-		t.Fatalf("Strategies() = %v", r.Strategies())
-	}
 	// Ratios derive from RunFinished: 60 hits over 100 lookups; 10 store
 	// hits over 40 evaluations.
 	if math.Abs(r.CacheHitRatio-0.6) > 1e-9 {
