@@ -11,7 +11,7 @@
 //
 //   - the sealed CSR topology (zero-alloc neighbor scans over ~3000 links);
 //
-//   - the epoch-tagged des arena (steady-state replications recycle every
+//   - the des event arena (steady-state replications recycle every
 //     event slot — a grid replication runs in tens of microseconds);
 //
 //   - replication-level batching across the worker pool;

@@ -48,20 +48,19 @@ func main() {
 			profile := profile
 			cfgFW := cfg.firewall
 			assignFn := assign.Func()
-			outs := des.Replicate(60, 0, 99, func(rep int, r *rng.Rand) indicators.Outcome {
+			outs, err := des.Replicate(60, 0, 99, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 				c, err := malware.NewCampaign(malware.Config{
 					Topo: topo, Catalog: cat, Profile: profile, Rand: r,
 					Assign: assignFn, FirewallVariant: cfgFW,
 				})
 				if err != nil {
-					return indicators.Outcome{}
+					return indicators.Outcome{}, err
 				}
-				out, err := c.Run(720)
-				if err != nil {
-					return indicators.Outcome{}
-				}
-				return out
+				return c.Run(720)
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			rep, err := indicators.Summarize(outs, 0.95)
 			if err != nil {
 				log.Fatal(err)

@@ -74,14 +74,14 @@ func main() {
 		fmt.Printf("%-26s t=%6.1fh  rotor0=%7.1fHz  damage=%5.1f%%  broken=%d  alarms=%d\n",
 			tag, sim.Now(), speeds[0], 100*cascade.Damage(), cascade.Broken(), len(hmi.Alarms()))
 	}
-	sim.Schedule(24, func() {
+	sim.SchedulePayload(24, func(des.Payload) {
 		if err := plc.StartReplay(); err != nil {
 			log.Fatal(err)
 		}
 		report("replay spoofing engaged")
-	})
-	inject := func(value float64, tag string) func() {
-		return func() {
+	}, des.Payload{})
+	inject := func(value float64, tag string) func(des.Payload) {
+		return func(des.Payload) {
 			if err := plc.InjectLogic(scada.ConstantOutput(cmdRegs, value)); err != nil {
 				log.Fatal(err)
 			}
@@ -91,8 +91,8 @@ func main() {
 	// Alternate overspeed / crawl for five cycles, 4h apart.
 	t := 25.0
 	for cycle := 0; cycle < 5; cycle++ {
-		sim.Schedule(t, inject(1410, "payload: overspeed 1410Hz"))
-		sim.Schedule(t+2, inject(2, "payload: crawl 2Hz"))
+		sim.SchedulePayload(t, inject(1410, "payload: overspeed 1410Hz"), des.Payload{})
+		sim.SchedulePayload(t+2, inject(2, "payload: crawl 2Hz"), des.Payload{})
 		t += 4
 	}
 	if err := sim.Run(60); err != nil {

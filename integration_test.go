@@ -138,13 +138,12 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 	const horizon = 720.0
 
 	sanPSA := func(assign *diversity.Assignment) float64 {
-		outs := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) indicators.Outcome {
-			out, err := cs.EvaluateSAN(assign, r, horizon)
-			if err != nil {
-				return indicators.Outcome{}
-			}
-			return out
+		outs, err := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			return cs.EvaluateSAN(assign, r, horizon)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		succ := 0
 		for _, o := range outs {
 			if o.Success {
@@ -154,7 +153,7 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 		return float64(succ) / reps
 	}
 	campaignPSA := func(assign *diversity.Assignment) float64 {
-		outs := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) indicators.Outcome {
+		outs, err := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			cfg := malware.Config{Topo: cs.Topo, Catalog: cs.Catalog,
 				Profile: malware.StuxnetProfile(), Rand: r}
 			if assign != nil {
@@ -162,14 +161,13 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 			}
 			c, err := malware.NewCampaign(cfg)
 			if err != nil {
-				return indicators.Outcome{}
+				return indicators.Outcome{}, err
 			}
-			out, err := c.Run(horizon)
-			if err != nil {
-				return indicators.Outcome{}
-			}
-			return out
+			return c.Run(horizon)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		succ := 0
 		for _, o := range outs {
 			if o.Success {
@@ -206,20 +204,19 @@ func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 		if err := diversity.SpreadVariants(topo, assign, cat, exploits.ClassOS, k); err != nil {
 			t.Fatal(err)
 		}
-		outs := des.Replicate(60, 0, 17, func(rep int, r *rng.Rand) indicators.Outcome {
+		outs, err := des.Replicate(60, 0, 17, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			c, err := malware.NewCampaign(malware.Config{
 				Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(),
 				Rand: r, Assign: assign.Func(),
 			})
 			if err != nil {
-				return indicators.Outcome{}
+				return indicators.Outcome{}, err
 			}
-			out, err := c.Run(720)
-			if err != nil {
-				return indicators.Outcome{}
-			}
-			return out
+			return c.Run(720)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		tta, err := indicators.TTASummary(outs)
 		if err != nil {
 			t.Fatal(err)

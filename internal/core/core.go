@@ -113,25 +113,21 @@ func (s *Study) Run() (*Results, error) {
 		}
 		levelsFor[i] = lv
 	}
-	type cell struct {
-		out indicators.Outcome
-		err error
-	}
-	flat := des.Replicate(total, s.Workers, s.Seed, func(idx int, r *rng.Rand) cell {
-		run := idx / s.Reps
+	flat, err := des.Replicate(total, s.Workers, s.Seed, func(idx int, r *rng.Rand) (indicators.Outcome, error) {
+		run, rep := idx/s.Reps, idx%s.Reps
 		out, err := s.Scenario.Evaluate(levelsFor[run], r)
-		return cell{out: out, err: err}
-	})
-	res := &Results{Design: s.Design, Outcomes: make([][]indicators.Outcome, runs)}
-	for run := 0; run < runs; run++ {
-		res.Outcomes[run] = make([]indicators.Outcome, s.Reps)
-		for rep := 0; rep < s.Reps; rep++ {
-			c := flat[run*s.Reps+rep]
-			if c.err != nil {
-				return nil, fmt.Errorf("core: run %d rep %d: %w", run, rep, c.err)
-			}
-			res.Outcomes[run][rep] = c.out
+		if err != nil {
+			return out, fmt.Errorf("core: run %d rep %d: %w", run, rep, err)
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Results{Design: s.Design, Outcomes: make([][]indicators.Outcome, runs)}
+	for run := range res.Outcomes {
+		lo, hi := run*s.Reps, (run+1)*s.Reps
+		res.Outcomes[run] = flat[lo:hi:hi]
 	}
 	res.Reports = make([]indicators.Report, runs)
 	for run := 0; run < runs; run++ {

@@ -10,12 +10,19 @@ import (
 	"diversify/internal/rng"
 )
 
+// after schedules the closure fn after delay, as a payload event whose
+// argument is unused.
+func after(s *Sim, delay float64, fn func()) {
+	s.SchedulePayload(delay, func(Payload) { fn() }, Payload{})
+}
+
 func TestEventOrdering(t *testing.T) {
 	s := NewSim()
-	var order []int
-	s.Schedule(3, func() { order = append(order, 3) })
-	s.Schedule(1, func() { order = append(order, 1) })
-	s.Schedule(2, func() { order = append(order, 2) })
+	var order []int32
+	record := func(p Payload) { order = append(order, p.Node) }
+	for _, n := range []int32{3, 1, 2} {
+		s.SchedulePayload(float64(n), record, Payload{Node: n})
+	}
 	if err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +37,9 @@ func TestEventOrdering(t *testing.T) {
 func TestFIFOTieBreak(t *testing.T) {
 	s := NewSim()
 	var order []string
-	s.Schedule(1, func() { order = append(order, "a") })
-	s.Schedule(1, func() { order = append(order, "b") })
-	s.Schedule(1, func() { order = append(order, "c") })
+	after(s, 1, func() { order = append(order, "a") })
+	after(s, 1, func() { order = append(order, "b") })
+	after(s, 1, func() { order = append(order, "c") })
 	if err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +51,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := NewSim()
 	var times []float64
-	s.Schedule(1, func() {
+	after(s, 1, func() {
 		times = append(times, s.Now())
-		s.Schedule(1, func() { times = append(times, s.Now()) })
+		after(s, 1, func() { times = append(times, s.Now()) })
 	})
 	if err := s.Run(5); err != nil {
 		t.Fatal(err)
@@ -56,29 +63,10 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := NewSim()
-	fired := false
-	ev := s.Schedule(1, func() { fired = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
-	if err := s.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if s.FiredEvents() != 0 {
-		t.Fatalf("FiredEvents = %d, want 0", s.FiredEvents())
-	}
-}
-
 func TestHorizonStopsBeforeEvent(t *testing.T) {
 	s := NewSim()
 	fired := false
-	s.Schedule(10, func() { fired = true })
+	after(s, 10, func() { fired = true })
 	if err := s.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +89,7 @@ func TestStop(t *testing.T) {
 	s := NewSim()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(float64(i), func() {
+		after(s, float64(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -121,7 +109,7 @@ func TestRunUntil(t *testing.T) {
 	s := NewSim()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(float64(i), func() { count++ })
+		after(s, float64(i), func() { count++ })
 	}
 	ok, err := s.RunUntil(100, func() bool { return count >= 4 })
 	if err != nil || !ok {
@@ -140,40 +128,20 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestScheduleAtPastPanics(t *testing.T) {
-	s := NewSim()
-	s.Schedule(5, func() {})
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	s.ScheduleAt(1, func() {})
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	NewSim().Schedule(-1, func() {})
+	NewSim().SchedulePayload(-1, func(Payload) {}, Payload{})
 }
 
 func TestEvery(t *testing.T) {
 	s := NewSim()
 	var ticks []float64
-	stop := s.Every(2, func(now float64) {
-		ticks = append(ticks, now)
-		if len(ticks) == 3 {
-			// stop is captured below; cancel via closure variable.
-		}
-	})
-	s.Schedule(7, func() { stop() })
-	if err := s.Run(20); err != nil {
+	s.Every(2, func(now float64) { ticks = append(ticks, now) })
+	if err := s.Run(7); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{2, 4, 6}
@@ -187,30 +155,12 @@ func TestEvery(t *testing.T) {
 	}
 }
 
-func TestEveryStopInsideCallback(t *testing.T) {
-	s := NewSim()
-	n := 0
-	var stop func()
-	stop = s.Every(1, func(float64) {
-		n++
-		if n == 2 {
-			stop()
-		}
-	})
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("n = %d, want 2", n)
-	}
-}
-
 func TestManyEventsThroughput(t *testing.T) {
 	s := NewSim()
 	r := rng.New(1)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		s.Schedule(r.Float64()*1000, func() {})
+		after(s, r.Float64()*1000, func() {})
 	}
 	if err := s.Run(2000); err != nil {
 		t.Fatal(err)
@@ -220,17 +170,27 @@ func TestManyEventsThroughput(t *testing.T) {
 	}
 }
 
+// replicate runs Replicate and fails the test on an error.
+func replicate[T any](t *testing.T, n, workers int, seed uint64, body func(rep int, r *rng.Rand) (T, error)) []T {
+	t.Helper()
+	out, err := Replicate(n, workers, seed, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
-	body := func(rep int, r *rng.Rand) float64 {
+	body := func(rep int, r *rng.Rand) (float64, error) {
 		sum := 0.0
 		for i := 0; i < 100; i++ {
 			sum += r.Float64()
 		}
-		return sum
+		return sum, nil
 	}
-	one := Replicate(50, 1, 42, body)
-	four := Replicate(50, 4, 42, body)
-	sixteen := Replicate(50, 16, 42, body)
+	one := replicate(t, 50, 1, 42, body)
+	four := replicate(t, 50, 4, 42, body)
+	sixteen := replicate(t, 50, 16, 42, body)
 	for i := range one {
 		if one[i] != four[i] || one[i] != sixteen[i] {
 			t.Fatalf("replication %d differs across worker counts: %v %v %v",
@@ -240,7 +200,7 @@ func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestReplicateStreamsIndependent(t *testing.T) {
-	out := Replicate(20, 4, 7, func(rep int, r *rng.Rand) float64 { return r.Float64() })
+	out := replicate(t, 20, 4, 7, func(rep int, r *rng.Rand) (float64, error) { return r.Float64(), nil })
 	seen := map[float64]bool{}
 	for _, v := range out {
 		if seen[v] {
@@ -251,7 +211,7 @@ func TestReplicateStreamsIndependent(t *testing.T) {
 }
 
 func TestReplicateZero(t *testing.T) {
-	if out := Replicate(0, 4, 1, func(int, *rng.Rand) int { return 1 }); out != nil {
+	if out := replicate(t, 0, 4, 1, func(int, *rng.Rand) (int, error) { return 1, nil }); out != nil {
 		t.Fatalf("Replicate(0) = %v, want nil", out)
 	}
 }
@@ -266,7 +226,7 @@ func TestQuickMonotoneClock(t *testing.T) {
 		last := math.Inf(-1)
 		ok := true
 		for i := 0; i < n; i++ {
-			s.Schedule(r.Float64()*100, func() {
+			after(s, r.Float64()*100, func() {
 				if s.Now() < last {
 					ok = false
 				}
@@ -285,11 +245,12 @@ func TestQuickMonotoneClock(t *testing.T) {
 
 func BenchmarkScheduleRun(b *testing.B) {
 	r := rng.New(1)
+	noop := func(Payload) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := NewSim()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(r.Float64()*100, func() {})
+			s.SchedulePayload(r.Float64()*100, noop, Payload{})
 		}
 		if err := s.Run(200); err != nil {
 			b.Fatal(err)
@@ -297,14 +258,18 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-// SchedulePayload must interleave with closure events in FIFO-per-time
-// order and deliver the scheduled argument.
+// SchedulePayload must fire events from different callbacks in
+// FIFO-per-time order and deliver the scheduled argument.
 func TestSchedulePayload(t *testing.T) {
 	s := NewSim()
 	var order []int32
-	record := func(p Payload) { order = append(order, p.Node) }
+	var params []float64
+	record := func(p Payload) {
+		order = append(order, p.Node)
+		params = append(params, p.P)
+	}
 	s.SchedulePayload(2, record, Payload{Node: 2, P: 0.5})
-	s.Schedule(1, func() { order = append(order, 1) })
+	after(s, 1, func() { order = append(order, 1) })
 	s.SchedulePayload(2, record, Payload{Node: 3})
 	if err := s.Run(10); err != nil {
 		t.Fatal(err)
@@ -313,6 +278,9 @@ func TestSchedulePayload(t *testing.T) {
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
+	if len(params) != 2 || params[0] != 0.5 || params[1] != 0 {
+		t.Fatalf("payload parameters %v, want [0.5 0]", params)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
@@ -320,30 +288,16 @@ func TestSchedulePayload(t *testing.T) {
 	}
 }
 
-// A cancelled payload event must not fire and must release its callback.
-func TestSchedulePayloadCancel(t *testing.T) {
-	s := NewSim()
-	fired := false
-	ev := s.SchedulePayload(1, func(Payload) { fired = true }, Payload{})
-	ev.Cancel()
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled payload event fired")
-	}
-}
-
 // Reset must make a reused simulator behave exactly like a fresh one.
 func TestSimReset(t *testing.T) {
 	run := func(s *Sim) []float64 {
 		var times []float64
-		s.Schedule(1, func() {
+		after(s, 1, func() {
 			times = append(times, s.Now())
-			s.Schedule(2, func() { times = append(times, s.Now()) })
+			after(s, 2, func() { times = append(times, s.Now()) })
 		})
 		s.SchedulePayload(5, func(Payload) { times = append(times, s.Now()) }, Payload{})
-		s.Schedule(100, func() { times = append(times, s.Now()) }) // beyond horizon
+		after(s, 100, func() { times = append(times, s.Now()) }) // beyond horizon
 		if err := s.Run(10); err != nil {
 			t.Fatal(err)
 		}
@@ -367,70 +321,14 @@ func TestSimReset(t *testing.T) {
 	}
 }
 
-// A handle issued before a Reset must stay inert: its slot is recycled
-// for the next epoch, so cancelling through the stale handle must not
-// touch the slot's new occupant.
-func TestStaleHandleIsInert(t *testing.T) {
-	s := NewSim()
-	stale := s.Schedule(1, func() {})
-	s.Reset()
-	fired := false
-	fresh := s.Schedule(1, func() { fired = true })
-	if stale.Cancelled() != true {
-		t.Fatal("pre-Reset handle should report Cancelled (inert)")
-	}
-	if stale.Time() != 0 {
-		t.Fatalf("stale handle Time = %v, want 0", stale.Time())
-	}
-	stale.Cancel() // must not cancel the recycled slot's new event
-	if fresh.Cancelled() {
-		t.Fatal("cancelling a stale handle cancelled the new epoch's event")
-	}
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("new epoch's event did not fire")
-	}
-	// The zero Handle is inert too.
-	var zero Handle
-	zero.Cancel()
-	if !zero.Cancelled() {
-		t.Fatal("zero Handle should report Cancelled")
-	}
-}
-
-// Handles remain first-class within their own epoch even after slots
-// from earlier epochs were recycled.
-func TestHandleCancelWithinEpochAfterReset(t *testing.T) {
-	s := NewSim()
-	s.Schedule(1, func() {})
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	fired := false
-	h := s.Schedule(1, func() { fired = true })
-	h.Cancel()
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !h.Cancelled() {
-		t.Fatal("handle should report Cancelled")
-	}
-}
-
 // Steady-state Reset+run cycles must recycle every arena slot: after a
-// warm-up epoch sized like the steady state, further epochs allocate
+// warm-up run sized like the steady state, further runs allocate
 // nothing in the des layer.
 func TestResetRunCycleZeroAllocs(t *testing.T) {
 	s := NewSim()
 	var sink int
 	count := func(Payload) { sink++ }
-	epoch := func() {
+	cycle := func() {
 		s.Reset()
 		// Span several arena blocks to exercise the block cursor.
 		for i := 0; i < 3*eventArenaSize; i++ {
@@ -440,10 +338,10 @@ func TestResetRunCycleZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epoch() // warm-up: grows the arena and the pending heap
-	allocs := testing.AllocsPerRun(10, epoch)
+	cycle() // warm-up: grows the arena and the pending heap
+	allocs := testing.AllocsPerRun(10, cycle)
 	if allocs != 0 {
-		t.Fatalf("steady-state Reset+run cycle allocated %.1f times per epoch, want 0", allocs)
+		t.Fatalf("steady-state Reset+run cycle allocated %.1f times per run, want 0", allocs)
 	}
 	if sink == 0 {
 		t.Fatal("events did not fire")
@@ -453,10 +351,9 @@ func TestResetRunCycleZeroAllocs(t *testing.T) {
 // refEvent, refHeap and refSim are the pre-typed-heap scheduler kept as
 // an oracle: container/heap over event pointers ordered by (time, seq).
 type refEvent struct {
-	time      float64
-	seq       uint64
-	id        int
-	cancelled bool
+	time float64
+	seq  uint64
+	id   int
 }
 
 type refHeap []*refEvent
@@ -483,82 +380,62 @@ type refSim struct {
 	h   refHeap
 }
 
-func (r *refSim) schedule(delay float64, id int) *refEvent {
-	e := &refEvent{time: r.now + delay, seq: r.seq, id: id}
+func (r *refSim) schedule(delay float64, id int) {
+	heap.Push(&r.h, &refEvent{time: r.now + delay, seq: r.seq, id: id})
 	r.seq++
-	heap.Push(&r.h, e)
-	return e
 }
 
-// step fires the earliest live event and returns its id (-1 when empty).
+// step fires the earliest event and returns its id (-1 when empty).
 func (r *refSim) step() int {
-	for r.h.Len() > 0 {
-		e := heap.Pop(&r.h).(*refEvent)
-		if e.cancelled {
-			continue
-		}
-		r.now = e.time
-		return e.id
+	if r.h.Len() == 0 {
+		return -1
 	}
-	return -1
+	e := heap.Pop(&r.h).(*refEvent)
+	r.now = e.time
+	return e.id
 }
 
 // The typed value heap must fire exactly the events the container/heap
 // reference fires, in the same order, under random interleavings of
 // schedules (drawn from a handful of delays, so equal times are the
-// norm), cancellations and steps — including across Resets.
+// norm) and steps — including across Resets.
 func TestTypedHeapMatchesContainerHeapOracle(t *testing.T) {
 	delays := []float64{0, 0, 1, 1, 2, 0.5, 3}
+	fired := -1
+	record := func(p Payload) { fired = int(p.Node) }
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		s := NewSim()
-		for epoch := 0; epoch < 3; epoch++ {
+		for run := 0; run < 3; run++ {
 			s.Reset()
 			ref := &refSim{}
-			fired := -1
-			var handles []Handle
-			var refs []*refEvent
-			for op := 0; op < 600; op++ {
-				switch k := r.Intn(10); {
-				case k < 5:
-					id := len(handles)
+			for op, id := 0, 0; op < 600; op++ {
+				if r.Intn(10) < 6 {
 					d := delays[r.Intn(len(delays))]
-					handles = append(handles, s.Schedule(d, func() { fired = id }))
-					refs = append(refs, ref.schedule(d, id))
-				case k < 7 && len(handles) > 0:
-					i := r.Intn(len(handles))
-					handles[i].Cancel()
-					refs[i].cancelled = true
-				default:
-					fired = -1
-					s.Step()
-					if want := ref.step(); fired != want {
-						t.Fatalf("seed %d epoch %d op %d: fired %d, oracle %d", seed, epoch, op, fired, want)
-					}
-					if s.Now() != ref.now {
-						t.Fatalf("seed %d epoch %d op %d: clock %v, oracle %v", seed, epoch, op, s.Now(), ref.now)
-					}
+					s.SchedulePayload(d, record, Payload{Node: int32(id)})
+					ref.schedule(d, id)
+					id++
+					continue
+				}
+				fired = -1
+				s.Step()
+				if want := ref.step(); fired != want {
+					t.Fatalf("seed %d run %d op %d: fired %d, oracle %d", seed, run, op, fired, want)
+				}
+				if s.Now() != ref.now {
+					t.Fatalf("seed %d run %d op %d: clock %v, oracle %v", seed, run, op, s.Now(), ref.now)
 				}
 			}
 			for want := ref.step(); want >= 0; want = ref.step() {
 				fired = -1
 				s.Step()
 				if fired != want {
-					t.Fatalf("seed %d epoch %d drain: fired %d, oracle %d", seed, epoch, fired, want)
+					t.Fatalf("seed %d run %d drain: fired %d, oracle %d", seed, run, fired, want)
 				}
 			}
 			if s.Step() {
-				t.Fatalf("seed %d epoch %d: typed heap fired past the oracle", seed, epoch)
+				t.Fatalf("seed %d run %d: typed heap fired past the oracle", seed, run)
 			}
 		}
 	}
-}
-
-// Time returns the virtual time the event is (or was) scheduled for; a
-// stale or zero handle returns 0.
-func (h Handle) Time() float64 {
-	if !h.live() {
-		return 0
-	}
-	return h.e.time
 }

@@ -152,21 +152,23 @@ func recovered(w, i int, r *rng.Rand, body func(w, i int, r *rng.Rand) error) (c
 // given worker count (workers <= 0 selects GOMAXPROCS). Replication i
 // receives stream i split in order from a root seeded with seed, so the
 // output slice is identical regardless of the worker count. Results are
-// returned in replication order. A replication that keeps panicking
-// re-panics in the caller's goroutine with its *PanicError.
-func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) T) []T {
+// returned in replication order. If a replication fails — body returns
+// an error, or panics on every attempt — Replicate returns no results
+// and the error (or *PanicError) of the lowest failing replication.
+func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]T, n)
 	_, err := NewPool(SplitStreams(seed, n), workers).Run(context.Background(), func(_, i int, r *rng.Rand) error {
-		out[i] = body(i, r)
-		return nil
+		var err error
+		out[i], err = body(i, r)
+		return err
 	}, nil)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // SplitStreams derives n replication streams by splitting them in order

@@ -3,6 +3,7 @@ package des
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -170,21 +171,34 @@ func TestPoolReportsPanickingWorker(t *testing.T) {
 	}
 }
 
-// Replicate re-panics a persistent replication panic in the caller's
-// goroutine, where it can be recovered, instead of crashing from a
-// worker.
-func TestReplicateRepanicsInCaller(t *testing.T) {
-	defer func() {
-		pe, ok := recover().(*PanicError)
-		if !ok || pe.Rep != 2 {
-			t.Fatalf("recovered %v, want the *PanicError of replication 2", pe)
-		}
-	}()
-	Replicate(4, 2, 1, func(rep int, _ *rng.Rand) int {
+// Replicate returns a persistent replication panic as the *PanicError
+// of that replication, in the caller's goroutine, instead of crashing
+// from a worker.
+func TestReplicateReturnsPanicError(t *testing.T) {
+	out, err := Replicate(4, 2, 1, func(rep int, _ *rng.Rand) (int, error) {
 		if rep == 2 {
 			panic("broken body")
 		}
-		return rep
+		return rep, nil
 	})
-	t.Fatal("Replicate returned despite a persistent panic")
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Rep != 2 || out != nil {
+		t.Fatalf("Replicate = %v, %v; want no results and the *PanicError of replication 2", out, err)
+	}
+}
+
+// Replicate returns the error of the lowest failing replication for
+// every worker count, and no results.
+func TestReplicateReturnsLowestError(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		out, err := Replicate(40, workers, 1, func(rep int, _ *rng.Rand) (int, error) {
+			if rep == 11 || rep == 29 {
+				return 0, fmt.Errorf("rep %d failed", rep)
+			}
+			return rep, nil
+		})
+		if err == nil || err.Error() != "rep 11 failed" || out != nil {
+			t.Fatalf("workers %d: Replicate = %v, %v; want no results and rep 11's error", workers, out, err)
+		}
+	}
 }

@@ -246,19 +246,25 @@ func simulateMadanSAN(vuln, attack, fail, detect, recover float64, reps int, see
 		m.TimedActivity("recover", rng.Exponential{Rate: recover}).Input(det, 1).Output(good, 1)
 		return m, failed, det
 	}
-	times := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) float64 {
+	times, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (float64, error) {
 		model, failed, _ := build()
 		sim, release, err := newSANSim(model, r)
 		if err != nil {
-			return math.NaN()
+			return 0, err
 		}
 		defer release()
 		ok, at, err := sim.RunUntil(1e6, func(mk san.Marking) bool { return mk.Tokens(failed) > 0 })
-		if err != nil || !ok {
-			return math.NaN()
+		if err != nil {
+			return 0, err
 		}
-		return at
+		if !ok {
+			return math.NaN(), nil // not absorbed within the horizon
+		}
+		return at, nil
 	})
+	if err != nil {
+		return 0, err
+	}
 	sum, n := 0.0, 0
 	for _, t := range times {
 		if !math.IsNaN(t) {

@@ -86,7 +86,7 @@ func E11Sensitivity(o Opts) (*Result, error) {
 // guarded stage with the given delay distribution completes within a
 // 10-unit horizon while a 0.9-period heartbeat churns the marking.
 func sanStageCompletionRate(resample bool, dist rng.Dist, reps int, seed uint64) (float64, error) {
-	outs := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) indicators.Outcome {
+	outs, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 		m := san.NewModel()
 		ready := m.Place("ready", 1)
 		done := m.Place("done", 0)
@@ -96,15 +96,18 @@ func sanStageCompletionRate(resample bool, dist rng.Dist, reps int, seed uint64)
 		m.TimedActivity("beat", rng.Deterministic{Value: 0.9}).Input(beat, 1).Output(beat, 1)
 		s, release, err := newSANSim(m, r)
 		if err != nil {
-			return indicators.Outcome{}
+			return indicators.Outcome{}, err
 		}
 		defer release()
 		ok, at, err := s.RunUntil(10, func(mk san.Marking) bool { return mk.Tokens(done) > 0 })
 		if err != nil {
-			return indicators.Outcome{}
+			return indicators.Outcome{}, err
 		}
-		return indicators.Outcome{Success: ok, TTA: at, Horizon: 10}
+		return indicators.Outcome{Success: ok, TTA: at, Horizon: 10}, nil
 	})
+	if err != nil {
+		return 0, err
+	}
 	succ := 0
 	for _, o := range outs {
 		if o.Success {

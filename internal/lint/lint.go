@@ -1,11 +1,11 @@
-// Package lint is the repo's custom static-analysis suite: eight
+// Package lint is the repo's custom static-analysis suite: nine
 // analyzers that machine-check the load-bearing guarantees every PR so
 // far has only enforced dynamically — common-random-number determinism,
 // context propagation, the CRN seeding gate, durable-write error
-// handling, the zero-cost-when-disabled telemetry contract, and (since
-// step 9) the interprocedural versions: transitive determinism
-// reachability, declared lock discipline and static hot-path
-// allocation gating.
+// handling, the zero-cost-when-disabled telemetry and trace contracts,
+// and (since step 9) the interprocedural versions: transitive
+// determinism reachability, declared lock discipline and static
+// hot-path allocation gating.
 //
 // The suite is stdlib-only (go/parser + go/types, module packages
 // checked from source and the standard library from `go list -export`

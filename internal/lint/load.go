@@ -76,7 +76,6 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 // a node for.
 type exportImporter struct {
 	imp     types.Importer
-	exports map[string]string
 	checked map[string]*types.Package
 }
 
@@ -97,20 +96,25 @@ func NewImporter(fset *token.FileSet, dir string, patterns ...string) (types.Imp
 	if err != nil {
 		return nil, err
 	}
+	return &exportImporter{imp: importer.ForCompiler(fset, "gc", exportLookup(pkgs))}, nil
+}
+
+// exportLookup opens the compiled export data `go list -export` listed
+// for an import path.
+func exportLookup(pkgs []listPkg) importer.Lookup {
 	exports := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	lookup := func(path string) (io.ReadCloser, error) {
+	return func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q (is it in the loaded pattern closure?)", path)
 		}
 		return os.Open(f)
 	}
-	return &exportImporter{imp: importer.ForCompiler(fset, "gc", lookup), exports: exports}, nil
 }
 
 // ParsePackage parses the named files and type-checks them as a package
@@ -151,22 +155,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: resolving module dir: %v", err)
 	}
-	exports := make(map[string]string, len(listing))
-	for _, p := range listing {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
 	imp := &exportImporter{
-		imp: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			f, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("lint: no export data for %q", path)
-			}
-			return os.Open(f)
-		}),
-		exports: exports,
+		imp:     importer.ForCompiler(fset, "gc", exportLookup(listing)),
 		checked: map[string]*types.Package{},
 	}
 	// `go list -deps` lists every package after its dependencies, so each

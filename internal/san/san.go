@@ -229,8 +229,27 @@ type Sim struct {
 	marking Marking
 	eng     *des.Sim
 	r       *rng.Rand
-	timers  []des.Handle // per activity; the zero Handle when not scheduled
-	err     error
+	timers  []timer // per activity
+	// onComplete is s.complete, bound once so scheduling a completion
+	// allocates no method value.
+	onComplete func(des.Payload)
+	err        error
+}
+
+// timer is an activity's completion state. armed is set while a
+// completion event is pending and valid. gen is bumped whenever the
+// activity is disarmed — disabled, resampled or completed — and a
+// completion event carries the gen it was scheduled under, so an event
+// whose activity has since been disarmed is stale and is ignored.
+type timer struct {
+	armed bool
+	gen   uint32
+}
+
+// disarm invalidates the activity's pending completion, if any.
+func (t *timer) disarm() {
+	t.armed = false
+	t.gen++
 }
 
 // NewSimReusing creates a simulator over model with the given RNG
@@ -249,8 +268,9 @@ func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
 		marking: model.initial.CopyInto(scratch),
 		eng:     des.NewSim(),
 		r:       r,
-		timers:  make([]des.Handle, len(model.activities)),
+		timers:  make([]timer, len(model.activities)),
 	}
+	s.onComplete = s.complete
 	return s, nil
 }
 
@@ -332,27 +352,26 @@ func (s *Sim) selectCase(a *Activity) *Case {
 	return &a.cases[len(a.cases)-1]
 }
 
-// resync brings timers in line with the new marking: cancels timers of
+// resync brings timers in line with the new marking: disarms timers of
 // disabled activities, schedules timers for newly enabled ones.
 func (s *Sim) resync() {
 	for _, a := range s.model.activities {
-		timer := s.timers[a.id]
-		active := !timer.Cancelled()
+		t := &s.timers[a.id]
 		en := a.enabled(s.marking)
 		switch {
-		case en && !active:
+		case en && !t.armed:
 			s.schedule(a)
-		case !en && active:
-			timer.Cancel()
-			s.timers[a.id] = des.Handle{}
-		case en && active && a.resample:
-			timer.Cancel()
+		case !en && t.armed:
+			t.disarm()
+		case en && t.armed && a.resample:
+			t.disarm()
 			s.schedule(a)
 		}
 	}
 }
 
-// schedule samples a completion time for a and enqueues its firing.
+// schedule samples a completion time for a and enqueues its completion,
+// stamped with the activity and its current generation.
 func (s *Sim) schedule(a *Activity) {
 	delay := a.dist.Sample(s.r)
 	if delay < 0 || math.IsNaN(delay) {
@@ -360,16 +379,27 @@ func (s *Sim) schedule(a *Activity) {
 		s.eng.Stop()
 		return
 	}
-	act := a
-	s.timers[a.id] = s.eng.Schedule(delay, func() {
-		s.timers[act.id] = des.Handle{}
-		// The event only exists while the activity was continuously
-		// enabled, so it may fire unconditionally.
-		s.fire(act)
-		if s.err == nil {
-			s.resync()
-		}
-	})
+	t := &s.timers[a.id]
+	t.armed = true
+	s.eng.SchedulePayload(delay, s.onComplete, des.Payload{Node: int32(a.id), P: float64(t.gen)})
+}
+
+// complete fires the activity a completion event was scheduled for,
+// unless the event is stale: its activity was disarmed (disabled or
+// resampled) after it was scheduled, which moved the generation on. A
+// live event exists only while its activity was continuously enabled,
+// so it fires unconditionally. A stale one draws no random number and
+// leaves the marking unchanged.
+func (s *Sim) complete(p des.Payload) {
+	t := &s.timers[p.Node]
+	if float64(t.gen) != p.P {
+		return
+	}
+	t.disarm()
+	s.fire(s.model.activities[p.Node])
+	if s.err == nil {
+		s.resync()
+	}
 }
 
 // RunUntil executes until pred(marking) holds or the horizon passes. It

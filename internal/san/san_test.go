@@ -189,6 +189,34 @@ func TestRaceCancelsLoserTimer(t *testing.T) {
 	}
 }
 
+// An activity disabled and re-enabled while its first completion is
+// still pending must complete at the time sampled on re-enabling: the
+// first completion is stale even though the activity is armed again.
+func TestReenabledActivityIgnoresStaleCompletion(t *testing.T) {
+	m := NewModel()
+	ready := m.Place("ready", 1)
+	done := m.Place("done", 0)
+	open := m.Place("open", 1)
+	closed := m.Place("closed", 0)
+	once := m.Place("once", 1)
+	stage := m.TimedActivity("stage", rng.Deterministic{Value: 3}).Input(ready, 1).Output(done, 1)
+	stage.Guard("open", func(mk Marking) bool { return mk[open] > 0 })
+	// close disables stage at t=1; reopen re-enables it at t=1.5.
+	m.TimedActivity("close", rng.Deterministic{Value: 1}).Input(once, 1).Input(open, 1).Output(closed, 1)
+	m.TimedActivity("reopen", rng.Deterministic{Value: 0.5}).Input(closed, 1).Output(open, 1)
+
+	s := mustSim(t, m, 1)
+	ok, at, err := s.RunUntil(100, func(mk Marking) bool { return mk[done] > 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The completion sampled at t=0 (due at 3) is stale; the one sampled
+	// on re-enabling at t=1.5 is due at 4.5.
+	if !ok || at != 4.5 {
+		t.Fatalf("stage completed at %v (ok=%v), want 4.5", at, ok)
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	m := NewModel()
 	stage := m.Place("stage", 0)

@@ -205,6 +205,10 @@ func (p *Plant) Start() {
 	if p.cfg.HMI != nil {
 		p.sim.Every(p.cfg.PollPeriod, func(now float64) {
 			p.cfg.HMI.Poll(now)
+			// The historian's read is not a pure observer: during replay
+			// spoofing each SupervisoryInput advances the PLC's replay
+			// cursor, so dropping the archive would change which recorded
+			// snapshots the HMI's later polls are shown.
 			if p.cfg.Historian != nil {
 				for _, w := range p.cfg.HMI.watches {
 					v, err := w.PLC.SupervisoryInput(w.InputReg)

@@ -283,11 +283,11 @@ func buildCoolingPlant(t *testing.T, sabotage bool) (*des.Sim, *physics.CoolingP
 	plant.Start()
 	if sabotage {
 		// At t=5h the attacker injects cooling-off logic.
-		sim.Schedule(5, func() {
+		sim.SchedulePayload(5, func(des.Payload) {
 			if err := plc.InjectLogic(ConstantOutput(cmdRegs, 0)); err != nil {
 				t.Errorf("inject: %v", err)
 			}
-		})
+		}, des.Payload{})
 	}
 	return sim, proc, plc, hmi
 }
@@ -326,14 +326,14 @@ func TestSabotageWithReplaySuppressesAlarms(t *testing.T) {
 	sim, proc, plc, hmi := buildCoolingPlant(t, false)
 	// Attack at t=5: record/replay first, then logic injection — the HMI
 	// keeps seeing healthy values.
-	sim.Schedule(5, func() {
+	sim.SchedulePayload(5, func(des.Payload) {
 		if err := plc.StartReplay(); err != nil {
 			t.Errorf("replay: %v", err)
 		}
 		if err := plc.InjectLogic(ConstantOutput([]int{4, 5, 6, 7}, 0)); err != nil {
 			t.Errorf("inject: %v", err)
 		}
-	})
+	}, des.Payload{})
 	if err := sim.Run(48); err != nil {
 		t.Fatal(err)
 	}

@@ -391,7 +391,7 @@ func (cs *CaseStudy) EvaluateFullSim(assign *diversity.Assignment, r *rng.Rand,
 	if attack.Success {
 		at := attack.TTA
 		spoof := r.Bool(spoofProb)
-		sim.Schedule(at, func() {
+		sim.SchedulePayload(at, func(des.Payload) {
 			if spoof {
 				if err := plc.StartReplay(); err != nil {
 					return // no recorded history yet; spoofing skipped
@@ -400,7 +400,7 @@ func (cs *CaseStudy) EvaluateFullSim(assign *diversity.Assignment, r *rng.Rand,
 			if err := plc.InjectLogic(scada.ConstantOutput(cmdRegs, 0)); err != nil {
 				return // validated program; cannot fail in practice
 			}
-		})
+		}, des.Payload{})
 	}
 	if err := sim.Run(horizon); err != nil {
 		return FullSimResult{}, err
@@ -526,13 +526,12 @@ func (cs *CaseStudy) OptimizePlacement(budget, nodeCost, plcCost float64,
 		}
 	}
 	metric := func(a *diversity.Assignment) (float64, error) {
-		outs := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) indicators.Outcome {
-			out, err := cs.EvaluateSAN(a, r, horizon)
-			if err != nil {
-				return indicators.Outcome{}
-			}
-			return out
+		outs, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			return cs.EvaluateSAN(a, r, horizon)
 		})
+		if err != nil {
+			return 0, err
+		}
 		succ := 0
 		for _, o := range outs {
 			if o.Success {
@@ -555,17 +554,16 @@ func (cs *CaseStudy) PlacementExperiment(resilientCounts []int, strategies []Str
 	var cells []PlacementCell
 	for _, k := range resilientCounts {
 		for _, strat := range strategies {
-			outs := des.Replicate(reps, 0, seed^uint64(k*31+int(strat)), func(rep int, r *rng.Rand) indicators.Outcome {
+			outs, err := des.Replicate(reps, 0, seed^uint64(k*31+int(strat)), func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 				assign, err := cs.PlacementAssignment(k, strat, r)
 				if err != nil {
-					return indicators.Outcome{}
+					return indicators.Outcome{}, err
 				}
-				out, err := cs.EvaluateSAN(assign, r, horizon)
-				if err != nil {
-					return indicators.Outcome{}
-				}
-				return out
+				return cs.EvaluateSAN(assign, r, horizon)
 			})
+			if err != nil {
+				return nil, err
+			}
 			succ := 0
 			ttaSum := 0.0
 			for _, o := range outs {

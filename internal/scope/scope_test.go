@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -34,13 +35,12 @@ func TestCoolingTopologyShape(t *testing.T) {
 
 func TestEvaluateSANBaseline(t *testing.T) {
 	cs := NewCaseStudy()
-	outs := des.Replicate(80, 0, 1, func(rep int, r *rng.Rand) indicators.Outcome {
-		out, err := cs.EvaluateSAN(nil, r, 720)
-		if err != nil {
-			t.Error(err)
-		}
-		return out
+	outs, err := des.Replicate(80, 0, 1, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		return cs.EvaluateSAN(nil, r, 720)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	iv, err := indicators.SuccessProbability(outs, 0.95)
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +67,12 @@ func TestEvaluateSANHorizonValidation(t *testing.T) {
 func TestHardeningLowersPSA(t *testing.T) {
 	cs := NewCaseStudy()
 	run := func(assign *diversity.Assignment) float64 {
-		outs := des.Replicate(80, 0, 7, func(rep int, r *rng.Rand) indicators.Outcome {
-			out, err := cs.EvaluateSAN(assign, r, 720)
-			if err != nil {
-				t.Error(err)
-			}
-			return out
+		outs, err := des.Replicate(80, 0, 7, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			return cs.EvaluateSAN(assign, r, 720)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		iv, err := indicators.SuccessProbability(outs, 0.95)
 		if err != nil {
 			t.Fatal(err)
@@ -122,6 +121,20 @@ func TestPlacementExperimentGrid(t *testing.T) {
 	}
 	if _, err := cs.PlacementExperiment([]int{1}, []Strategy{StrategyRandom}, 0, 1, 10); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+}
+
+// A replication that cannot run must fail the experiment, not count as
+// a defended replication.
+func TestPlacementExperimentRejectsBadInputs(t *testing.T) {
+	cs := NewCaseStudy()
+	cells, err := cs.PlacementExperiment([]int{1}, []Strategy{Strategy(99)}, 4, 1, 720)
+	if !errors.Is(err, ErrBadCaseStudy) {
+		t.Fatalf("unknown strategy: cells %+v, err %v; want ErrBadCaseStudy", cells, err)
+	}
+	cells, err = cs.PlacementExperiment([]int{1}, []Strategy{StrategyRandom}, 4, 1, 0)
+	if !errors.Is(err, ErrBadCaseStudy) {
+		t.Fatalf("zero horizon: cells %+v, err %v; want ErrBadCaseStudy", cells, err)
 	}
 }
 
@@ -273,6 +286,14 @@ func TestOptimizePlacementValidation(t *testing.T) {
 	cs := NewCaseStudy()
 	if _, _, err := cs.OptimizePlacement(10, 1, 1, 0, 1, 720); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+}
+
+func TestOptimizePlacementRejectsZeroHorizon(t *testing.T) {
+	cs := NewCaseStudy()
+	steps, psa, err := cs.OptimizePlacement(10, 1, 1, 4, 1, 0)
+	if !errors.Is(err, ErrBadCaseStudy) {
+		t.Fatalf("zero horizon: steps %+v, PSA %v, err %v; want ErrBadCaseStudy", steps, psa, err)
 	}
 }
 
