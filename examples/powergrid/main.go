@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"diversify/internal/des"
 	"diversify/internal/diversity"
 	"diversify/internal/exploits"
 	"diversify/internal/indicators"
 	"diversify/internal/malware"
-	"diversify/internal/rng"
 	"diversify/internal/topology"
 )
 
@@ -45,18 +43,12 @@ func main() {
 			assign.SetClassEverywhere(topo, exploits.ClassProtocol, cfg.proto)
 		}
 		for _, profile := range profiles {
-			profile := profile
-			cfgFW := cfg.firewall
-			assignFn := assign.Func()
-			outs, err := des.Replicate(60, 0, 99, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
-				c, err := malware.NewCampaign(malware.Config{
-					Topo: topo, Catalog: cat, Profile: profile, Rand: r,
-					Assign: assignFn, FirewallVariant: cfgFW,
-				})
-				if err != nil {
-					return indicators.Outcome{}, err
-				}
-				return c.Run(720)
+			outs, err := malware.Evaluate(malware.EvalSpec{
+				Config: malware.Config{
+					Topo: topo, Catalog: cat, Profile: profile,
+					Assign: assign.Func(), FirewallVariant: cfg.firewall,
+				},
+				Horizon: 720, Reps: 60, Seed: 99,
 			})
 			if err != nil {
 				log.Fatal(err)

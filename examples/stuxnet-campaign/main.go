@@ -57,8 +57,7 @@ func main() {
 	plant, err := scada.NewPlant(sim, rng.New(1), scada.PlantConfig{
 		Process: cascade, PLCs: []*scada.PLC{plc},
 		Sensors: sensors, Actuators: acts,
-		HMI: hmi, Historian: scada.NewHistorian(8192),
-		StepPeriod: 0.01, PollPeriod: 0.05,
+		HMI: hmi, StepPeriod: 0.01, PollPeriod: 0.05,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,7 @@ const (
 // Evaluator turns candidates into Scores by Monte-Carlo campaign
 // simulation. It owns
 //
-//   - a des.Pool whose workers each hold ONE reusable malware.Campaign
+//   - a malware.Runner whose workers each hold ONE reusable campaign
 //     (Reset between replications — construction is paid once per worker,
 //     not once per replication);
 //   - a fixed vector of per-replication streams, so every candidate is
@@ -54,8 +54,8 @@ const (
 //   - per-worker rotation engines for every schedule in
 //     Problem.Rotations, built lazily the first time a schedule is
 //     simulated (engine state is per-campaign; sharing one across
-//     workers would race) — campaigns swap between rotated and static
-//     candidates via Campaign.SetRotation;
+//     workers would race) — the runner's campaigns swap between rotated
+//     and static candidates;
 //   - a memoization cache keyed by candidate fingerprint (assignment ×
 //     schedule), so a candidate revisited by annealing or genetic
 //     recombination is never re-simulated.
@@ -65,21 +65,17 @@ const (
 type Evaluator struct {
 	p       *Problem
 	streams []rng.Rand
-	pool    *des.Pool
+	runner  *malware.Runner
 
 	// ctx cancels evaluations: workers stop claiming replication batches
 	// once it is done (in-flight replications drain cleanly) and Score
 	// returns the context error without caching a partial measurement.
 	ctx context.Context
 
-	// camps[w] is worker w's reusable campaign, nil until its first
-	// replication and again after a panic.
-	camps []*malware.Campaign
-
 	// rotFPs[i] digests p.Rotations[i]; rotors[i][w] is worker w's engine
 	// for schedule i (nil column until first use).
 	rotFPs []uint64
-	rotors [][]*rotation.Engine
+	rotors [][]malware.Rotator
 
 	cache   map[uint64]Score
 	archive []archived
@@ -88,8 +84,8 @@ type Evaluator struct {
 	// quarantined counts candidates scored infeasible after repeated
 	// evaluation panics; retries counts panicked replication attempts
 	// that were replayed; repHook is the fault-injection seam the
-	// robustness tests use (called once per replication attempt, before
-	// the campaign runs).
+	// robustness tests use (called once per replication attempt, after
+	// the campaign runs and before its outcome is kept).
 	quarantined int
 	retries     int
 	repHook     func(c Candidate, rep int)
@@ -121,7 +117,7 @@ type Evaluator struct {
 	zoneBuf []diversity.Entry
 }
 
-// newEvaluator prepares the worker pool for a normalized, validated
+// newEvaluator prepares the campaign runner for a normalized, validated
 // problem.
 func newEvaluator(p *Problem) (*Evaluator, error) {
 	// Replication i replays the stream seeded with the root's i-th draw
@@ -131,30 +127,27 @@ func newEvaluator(p *Problem) (*Evaluator, error) {
 	for i := range streams {
 		streams[i].Seed(root.Uint64())
 	}
-	pool := des.NewPool(streams, p.Workers)
+	// Fail fast on an unusable campaign template.
+	runner, err := malware.NewRunner(malware.Config{
+		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+	}, p.Horizon, streams, p.Workers)
+	if err != nil {
+		return nil, err
+	}
 	ev := &Evaluator{
 		p:       p,
 		ctx:     context.Background(), //diversify:allow-context placeholder until RunContext installs the caller's context; bare Score calls never block on it
 		started: wallClock(),
 		repHook: p.repHook,
 		streams: streams,
-		pool:    pool,
-		camps:   make([]*malware.Campaign, pool.Workers()),
+		runner:  runner,
 		rotFPs:  make([]uint64, len(p.Rotations)),
-		rotors:  make([][]*rotation.Engine, len(p.Rotations)),
+		rotors:  make([][]malware.Rotator, len(p.Rotations)),
 		cache:   map[uint64]Score{},
 		meas:    make([]evalstore.Measurements, p.Reps),
 	}
 	for i, spec := range p.Rotations {
 		ev.rotFPs[i] = spec.Fingerprint()
-	}
-	// Fail fast on an unusable campaign template.
-	probe := malware.Config{
-		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile,
-		Rand: rng.New(p.Seed), FirewallVariant: p.FirewallVariant,
-	}
-	if _, err := malware.NewCampaign(probe); err != nil {
-		return nil, err
 	}
 	// And on unusable rotation schedules (missing variants, empty
 	// candidate sets) before any strategy pairs a placement with one.
@@ -186,9 +179,9 @@ func (e *Evaluator) ZoneOK(a *diversity.Assignment) bool {
 
 // engines returns the per-worker rotation engines for schedule rot,
 // building the column on first use.
-func (e *Evaluator) engines(rot int) ([]*rotation.Engine, error) {
+func (e *Evaluator) engines(rot int) ([]malware.Rotator, error) {
 	if e.rotors[rot] == nil {
-		col := make([]*rotation.Engine, e.pool.Workers())
+		col := make([]malware.Rotator, e.runner.Workers())
 		for w := range col {
 			eng, err := rotation.NewEngine(e.p.Rotations[rot], e.p.Topo, e.p.Catalog, e.p.Profile)
 			if err != nil {
@@ -326,52 +319,25 @@ func (e *Evaluator) value(s Score) float64 {
 }
 
 // simulate runs the replications for one candidate on the evaluator's
-// pool and returns the mean measurement vector. Campaigns persist
+// runner and returns the mean measurement vector. Campaigns persist
 // ACROSS candidates and every candidate replays the same per-replication
 // streams (common random numbers). A non-nil capt records causal traces
 // of its sampled replications. A replication that panics on every retry
 // fails the candidate with a *des.PanicError.
 func (e *Evaluator) simulate(c Candidate, capt *trace.Capture) (evalstore.Measurements, error) {
-	assignFn := c.A.Func()
-	var engs []*rotation.Engine
+	var rots []malware.Rotator
 	if c.Rot >= 0 {
 		var err error
-		if engs, err = e.engines(c.Rot); err != nil {
+		if rots, err = e.engines(c.Rot); err != nil {
 			return evalstore.Measurements{}, err
 		}
 	}
-	retries, err := e.pool.Run(e.ctx, func(w, i int, r *rng.Rand) error {
+	retries, err := e.runner.Run(e.ctx, c.A.Func(), rots, capt, func(i int, out indicators.Outcome) {
 		if e.repHook != nil {
 			e.repHook(c, i)
 		}
-		camp := e.camps[w]
-		if camp == nil {
-			var err error
-			camp, err = malware.NewCampaign(malware.Config{
-				Topo: e.p.Topo, Catalog: e.p.Catalog, Profile: e.p.Profile,
-				Rand: r, Assign: assignFn, FirewallVariant: e.p.FirewallVariant,
-			})
-			if err != nil {
-				return err
-			}
-			e.camps[w] = camp
-		} else {
-			camp.Reset(assignFn, r)
-		}
-		if engs != nil {
-			camp.SetRotation(engs[w])
-		} else {
-			camp.SetRotation(nil)
-		}
-		camp.SetTracer(capt.Tracer(w, i))
-		out, err := camp.Run(e.p.Horizon)
-		if err != nil {
-			return err
-		}
-		capt.Keep(w, i)
 		e.meas[i] = measure(out)
-		return nil
-	}, func(w int) { e.camps[w] = nil }) // a campaign is suspect mid-panic
+	})
 	e.retries += retries
 	var pe *des.PanicError
 	if errors.As(err, &pe) && e.sink != nil {
@@ -418,13 +384,13 @@ func b2f(b bool) float64 {
 
 // explain re-simulates one candidate with trace capture on the sampled
 // replications and aggregates the captures into an explanation report.
-// The replay reuses the evaluator's pool and CRN streams, so it
+// The replay reuses the evaluator's runner and CRN streams, so it
 // reproduces exactly the attack sequences the search scored — and
 // because capture consumes no RNG draw, running it perturbs nothing:
 // scores, goldens and the search trajectory are byte-identical with
 // explanations on or off.
 func (e *Evaluator) explain(label string, c Candidate, sample float64) (trace.Explanation, error) {
-	capt := trace.NewCapture(e.streams, sample, e.pool.Workers(), 0)
+	capt := trace.NewCapture(e.streams, sample, e.runner.Workers(), 0)
 	if _, err := e.simulate(c, capt); err != nil {
 		return trace.Explanation{}, err
 	}

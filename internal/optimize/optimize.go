@@ -235,7 +235,7 @@ type Problem struct {
 	TraceSample float64
 
 	// repHook is the robustness tests' fault-injection seam: called once
-	// per replication attempt before the campaign runs. Unexported — the
+	// per replication attempt, after the campaign runs. Unexported — the
 	// public search surface has no business observing replications.
 	repHook func(c Candidate, rep int)
 	// canarySeed replaces the stale-science canary's stream seed when
@@ -623,7 +623,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		ev.sink.Emit(telemetry.RunStarted{
 			Strategy: o.Name(), Objective: p.Objective.String(), Budget: p.Budget,
 			Options: len(p.Options), Rotations: len(p.Rotations),
-			Reps: p.Reps, Workers: ev.pool.Workers(),
+			Reps: p.Reps, Workers: ev.runner.Workers(),
 		})
 	}
 	if opts.StorePath != "" {

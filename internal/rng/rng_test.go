@@ -346,15 +346,6 @@ func TestMul64(t *testing.T) {
 	}
 }
 
-func BenchmarkUint64(b *testing.B) {
-	r := New(1)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink = r.Uint64()
-	}
-	_ = sink
-}
-
 func BenchmarkExp(b *testing.B) {
 	r := New(1)
 	var sink float64

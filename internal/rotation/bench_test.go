@@ -52,36 +52,6 @@ func BenchmarkRotatedCampaignGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkRotationOverhead isolates the rotation machinery on the
-// reference tiered plant: a steady-state replication with an eager
-// periodic engine, against which BenchmarkCampaignReuse (static, same
-// plant, in internal/malware) is the baseline.
-func BenchmarkRotationOverhead(b *testing.B) {
-	topo := topology.NewTieredSCADA(topology.DefaultTieredSpec())
-	cat := exploits.StuxnetCatalog()
-	c, err := malware.NewCampaign(malware.Config{
-		Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(), Rand: rng.New(1),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := NewEngine(Spec{Kind: Periodic, Period: 24, Batch: 2, Downtime: 2}, topo, cat, malware.StuxnetProfile())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.SetRotation(eng)
-	r := rng.New(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seed(uint64(i + 1))
-		c.Reset(nil, r)
-		if _, err := c.Run(720); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The allocation acceptance: a steady-state rotated grid:200
 // replication must stay within 10 allocs/op of the static grid:200
 // path, and the count must be stable (nothing grows per cycle).

@@ -83,33 +83,6 @@ func (h *HMI) FirstAlarmTime() (float64, bool) {
 	return h.alarms[0].Time, true
 }
 
-// HistorianSample is one archived measurement.
-type HistorianSample struct {
-	Time  float64
-	PLC   string
-	Reg   int
-	Value float64
-}
-
-// Historian keeps a bounded archive of supervisory samples.
-type Historian struct {
-	cap     int
-	samples []HistorianSample
-}
-
-// NewHistorian returns a historian bounded to capacity samples.
-func NewHistorian(capacity int) *Historian {
-	return &Historian{cap: capacity}
-}
-
-// Record appends a sample, evicting the oldest beyond capacity.
-func (h *Historian) Record(s HistorianSample) {
-	h.samples = append(h.samples, s)
-	if len(h.samples) > h.cap {
-		h.samples = h.samples[len(h.samples)-h.cap:]
-	}
-}
-
 // PlantConfig wires a physical process to its controllers and
 // supervision.
 type PlantConfig struct {
@@ -118,7 +91,6 @@ type PlantConfig struct {
 	Sensors    []SensorBinding
 	Actuators  []ActuatorBinding
 	HMI        *HMI
-	Historian  *Historian
 	StepPeriod float64 // physics/sensor/scan period, hours
 	PollPeriod float64 // HMI poll period, hours
 }
@@ -161,8 +133,7 @@ func NewPlant(sim *des.Sim, r *rng.Rand, cfg PlantConfig) (*Plant, error) {
 
 // Start schedules the control loop: every StepPeriod the process advances,
 // sensors are sampled into PLC registers, PLCs scan, and actuator
-// commands are applied; every PollPeriod the HMI polls and the historian
-// records.
+// commands are applied; every PollPeriod the HMI polls.
 func (p *Plant) Start() {
 	p.sim.Every(p.cfg.StepPeriod, func(now float64) {
 		p.cfg.Process.Step(p.cfg.StepPeriod)
@@ -203,21 +174,6 @@ func (p *Plant) Start() {
 	})
 
 	if p.cfg.HMI != nil {
-		p.sim.Every(p.cfg.PollPeriod, func(now float64) {
-			p.cfg.HMI.Poll(now)
-			// The historian's read is not a pure observer: during replay
-			// spoofing each SupervisoryInput advances the PLC's replay
-			// cursor, so dropping the archive would change which recorded
-			// snapshots the HMI's later polls are shown.
-			if p.cfg.Historian != nil {
-				for _, w := range p.cfg.HMI.watches {
-					v, err := w.PLC.SupervisoryInput(w.InputReg)
-					if err != nil {
-						continue
-					}
-					p.cfg.Historian.Record(HistorianSample{Time: now, PLC: w.PLC.Name, Reg: w.InputReg, Value: v})
-				}
-			}
-		})
+		p.sim.Every(p.cfg.PollPeriod, func(now float64) { p.cfg.HMI.Poll(now) })
 	}
 }

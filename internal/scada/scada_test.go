@@ -3,6 +3,7 @@ package scada
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"diversify/internal/des"
@@ -273,7 +274,6 @@ func buildCoolingPlant(t *testing.T, sabotage bool) (*des.Sim, *physics.CoolingP
 		Sensors:    sensors,
 		Actuators:  acts,
 		HMI:        hmi,
-		Historian:  NewHistorian(1000),
 		StepPeriod: 0.05,
 		PollPeriod: 0.1,
 	})
@@ -345,14 +345,58 @@ func TestSabotageWithReplaySuppressesAlarms(t *testing.T) {
 	}
 }
 
-func TestHistorianRecordsAndBounds(t *testing.T) {
-	h := NewHistorian(3)
-	for i := 0; i < 10; i++ {
-		h.Record(HistorianSample{Time: float64(i)})
+// ramp is a one-sensor process whose reading climbs by one per step.
+type ramp struct{ v float64 }
+
+func (r *ramp) Step(float64)       { r.v++ }
+func (r *ramp) Sensors() []float64 { return []float64{r.v} }
+func (r *ramp) Actuate([]float64)  {}
+func (r *ramp) Damage() float64    { return 0 }
+func (r *ramp) Healthy() bool      { return true }
+
+// While replay spoofing is on, the HMI is the plant's only supervisory
+// reader: its successive polls walk the recorded loop in order, one
+// snapshot per poll, wrapping at the end of the recording.
+func TestReplayWalksRecordedLoopPerPoll(t *testing.T) {
+	sim := des.NewSim()
+	plc, err := NewPLC("ramp-plc", 1, 1, 1, Program{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := h.samples
-	if len(s) != 3 || s[0].Time != 7 || s[2].Time != 9 {
-		t.Fatalf("samples = %+v", s)
+	// A band no reading satisfies, so every poll logs the value it saw.
+	hmi := NewHMI([]AlarmWatch{{Name: "ramp", PLC: plc, InputReg: 0, Min: 0, Max: 0}})
+	plant, err := NewPlant(sim, rng.New(1), PlantConfig{
+		Process:    &ramp{},
+		PLCs:       []*PLC{plc},
+		Sensors:    []SensorBinding{{SensorIndex: 0, PLC: plc, InputReg: 0}},
+		HMI:        hmi,
+		StepPeriod: 1,
+		PollPeriod: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant.Start()
+	// Scans at t=1..4 record the readings 1..4; replay starts before the
+	// next one.
+	const replayAt = 4.5
+	sim.SchedulePayload(replayAt, func(des.Payload) {
+		if err := plc.StartReplay(); err != nil {
+			t.Errorf("replay: %v", err)
+		}
+	}, des.Payload{})
+	if err := sim.Run(12.5); err != nil {
+		t.Fatal(err)
+	}
+	var seen []float64
+	for _, a := range hmi.Alarms() {
+		if a.Time > replayAt {
+			seen = append(seen, a.Value)
+		}
+	}
+	want := []float64{1, 2, 3, 4, 1, 2, 3, 4}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("HMI polls under replay saw %v, want %v", seen, want)
 	}
 }
 

@@ -380,7 +380,6 @@ func (cs *CaseStudy) EvaluateFullSim(assign *diversity.Assignment, r *rng.Rand,
 		Sensors:    sensors,
 		Actuators:  acts,
 		HMI:        hmi,
-		Historian:  scada.NewHistorian(4096),
 		StepPeriod: 0.05,
 		PollPeriod: 0.2,
 	})

@@ -102,15 +102,3 @@ func BenchmarkNeighbors(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkNeighborsByVector(b *testing.B) {
-	tp := NewTieredSCADA(DefaultTieredSpec())
-	engs := tp.NodesOfKind(KindEngWorkstation)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(tp.NeighborsByVector(engs[i%len(engs)], exploits.VectorRemote)) == 0 {
-			b.Fatal("no remote neighbors")
-		}
-	}
-}
