@@ -30,6 +30,11 @@ import (
 // ErrStopped is returned by Run when the simulation was halted by Stop.
 var ErrStopped = errors.New("des: simulation stopped")
 
+// ErrNaNHorizon is returned by Run and RunUntil for a NaN horizon, which
+// no event time compares past: the run would otherwise go on until the
+// queue empties.
+var ErrNaNHorizon = errors.New("des: NaN horizon")
+
 // Payload is the argument of an event callback: a node (or other small
 // integer) identifier plus one float parameter. Scheduling a shared
 // method value with a Payload instead of a fresh closure removes the
@@ -231,19 +236,20 @@ func (s *Sim) Step() bool {
 // Run executes events in order until the clock would pass horizon, the
 // event queue empties, or Stop is called. The clock is left at
 // min(horizon, time of last event). It returns ErrStopped if halted by
-// Stop, nil otherwise.
+// Stop, ErrNaNHorizon for a NaN horizon, nil otherwise.
 func (s *Sim) Run(horizon float64) error {
-	if math.IsNaN(horizon) {
-		return fmt.Errorf("des: NaN horizon: %w", ErrStopped)
-	}
 	_, err := s.RunUntil(horizon, nil)
 	return err
 }
 
 // RunUntil executes events until pred() returns true (checked after every
 // event), the horizon is reached, or the queue empties. It reports whether
-// pred became true; a nil pred never does.
+// pred became true; a nil pred never does. A NaN horizon runs nothing and
+// returns ErrNaNHorizon.
 func (s *Sim) RunUntil(horizon float64, pred func() bool) (bool, error) {
+	if math.IsNaN(horizon) {
+		return false, ErrNaNHorizon
+	}
 	if pred != nil && pred() {
 		return true, nil
 	}

@@ -105,6 +105,26 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// A NaN horizon compares past no event time, so it must be refused up
+// front with its own error: before, it ran every event until the queue
+// emptied and reported success.
+func TestRunRejectsNaNHorizon(t *testing.T) {
+	s := NewSim()
+	fired := 0
+	after(s, 1, func() { fired++ })
+	err := s.Run(math.NaN())
+	if !errors.Is(err, ErrNaNHorizon) || errors.Is(err, ErrStopped) {
+		t.Fatalf("Run(NaN) err = %v, want ErrNaNHorizon and not ErrStopped", err)
+	}
+	ok, err := s.RunUntil(math.NaN(), func() bool { return true })
+	if ok || !errors.Is(err, ErrNaNHorizon) {
+		t.Fatalf("RunUntil(NaN) = %v, %v, want false, ErrNaNHorizon", ok, err)
+	}
+	if fired != 0 || s.FiredEvents() != 0 || s.Now() != 0 {
+		t.Fatalf("NaN horizon fired %d events, clock %v", s.FiredEvents(), s.Now())
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	s := NewSim()
 	count := 0

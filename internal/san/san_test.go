@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"diversify/internal/des"
 	"diversify/internal/rng"
 )
 
@@ -229,6 +230,23 @@ func TestRunUntil(t *testing.T) {
 	}
 	if !ok || at != 4 {
 		t.Fatalf("ok=%v at=%v, want true at 4", ok, at)
+	}
+}
+
+// A NaN horizon is an error, not a run to exhaustion: no event time
+// compares past NaN, so a self-enabling activity like this one would
+// fire forever.
+func TestRunUntilRejectsNaNHorizon(t *testing.T) {
+	m := NewModel()
+	p := m.Place("p", 1)
+	m.TimedActivity("spin", rng.Deterministic{Value: 1}).Input(p, 1).Output(p, 1)
+	s := mustSim(t, m, 1)
+	ok, _, err := s.RunUntil(math.NaN(), func(Marking) bool { return false })
+	if ok || !errors.Is(err, des.ErrNaNHorizon) {
+		t.Fatalf("RunUntil(NaN) = %v, %v, want false, des.ErrNaNHorizon", ok, err)
+	}
+	if s.Now() != 0 {
+		t.Fatalf("NaN horizon advanced the clock to %v", s.Now())
 	}
 }
 
