@@ -65,41 +65,48 @@ func NewPool(streams []rng.Rand, workers int) *Pool {
 // Workers is the resolved worker count; body's w argument is below it.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run calls body(w, i, r) once for every replication i, on worker w,
-// with r holding a fresh copy of stream i. Workers stop claiming
-// batches once ctx is done or any replication has failed; in-flight
-// replications drain. A panicking body is recovered: onPanic(w) (when
-// non-nil) runs on the worker before it does anything else, so the
-// caller can discard state the panic may have corrupted, and the
-// replication is retried from its pristine stream up to maxAttempts
-// times. Run reports how many attempts were retried and, after all
-// workers have joined, ctx's error if it is done, otherwise the failure
-// (body error or *PanicError) of the lowest failing replication.
-func (p *Pool) Run(ctx context.Context, body func(w, i int, r *rng.Rand) error, onPanic func(w int)) (retries int, err error) {
-	n := len(p.streams)
-	type failure struct {
-		rep int
-		err error
+// Run calls body(w, i, r) once for every replication i in reps (nil
+// selects every stream; a subset must hold distinct stream indices), on
+// worker w, with r holding a fresh copy of stream i. Workers stop
+// claiming batches once ctx is done or any replication has failed;
+// in-flight replications drain. A panicking body is recovered:
+// onPanic(w) (when non-nil) runs on the worker before it does anything
+// else, so the caller can discard state the panic may have corrupted,
+// and the replication is retried from its pristine stream up to
+// maxAttempts times. Run reports how many attempts were retried and,
+// after all workers have joined, ctx's error if it is done, otherwise
+// the failure (body error or *PanicError) of the lowest failing
+// replication.
+func (p *Pool) Run(ctx context.Context, reps []int, body func(w, i int, r *rng.Rand) error, onPanic func(w int)) (retries int, err error) {
+	n, batch := p.claims(reps)
+	// ws[w] is worker w's outcome: its retried attempts and the
+	// replication it failed on (err nil: none).
+	type outcome struct {
+		retries, rep int
+		err          error
 	}
-	fails := make([]failure, p.workers)
-	tries := make([]int, p.workers)
+	ws := make([]outcome, min(p.workers, n))
 	var stop atomic.Bool
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
+	wg.Add(len(ws))
+	for w := range ws {
 		go func(w int) {
 			defer wg.Done()
 			r := new(rng.Rand)
 			for !stop.Load() && ctx.Err() == nil {
-				hi := int(cursor.Add(int64(p.batch)))
-				lo := hi - p.batch
+				hi := int(cursor.Add(int64(batch)))
+				lo := hi - batch
 				if lo >= n {
 					return
 				}
-				for i := lo; i < min(hi, n); i++ {
-					if err := p.runRep(w, i, r, body, onPanic, &tries[w]); err != nil {
-						fails[w] = failure{rep: i, err: err}
+				for j := lo; j < min(hi, n); j++ {
+					i := j
+					if reps != nil {
+						i = reps[j]
+					}
+					if err := p.runRep(w, i, r, body, onPanic, &ws[w].retries); err != nil {
+						ws[w].rep, ws[w].err = i, err
 						stop.Store(true)
 						return
 					}
@@ -108,19 +115,26 @@ func (p *Pool) Run(ctx context.Context, body func(w, i int, r *rng.Rand) error, 
 		}(w)
 	}
 	wg.Wait()
-	for _, t := range tries {
-		retries += t
+	first := outcome{rep: len(p.streams)}
+	for _, o := range ws {
+		retries += o.retries
+		if o.err != nil && o.rep < first.rep {
+			first = o
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return retries, err
 	}
-	first := failure{rep: n}
-	for _, f := range fails {
-		if f.err != nil && f.rep < first.rep {
-			first = f
-		}
-	}
 	return retries, first.err
+}
+
+// claims sizes a Run over reps: the replications it claims and the
+// batch a worker claims at once. A subset is batched for its own size.
+func (p *Pool) claims(reps []int) (n, batch int) {
+	if reps == nil {
+		return len(p.streams), p.batch
+	}
+	return len(reps), min(p.batch, max(len(reps)/(p.workers*batchFactor), 1))
 }
 
 // runRep runs replication i on worker w, retrying panics.
@@ -160,7 +174,7 @@ func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Ran
 		return nil, nil
 	}
 	out := make([]T, n)
-	_, err := NewPool(SplitStreams(seed, n), workers).Run(context.Background(), func(_, i int, r *rng.Rand) error {
+	_, err := NewPool(SplitStreams(seed, n), workers).Run(context.Background(), nil, func(_, i int, r *rng.Rand) error {
 		var err error
 		out[i], err = body(i, r)
 		return err

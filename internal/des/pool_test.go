@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -22,7 +23,7 @@ func runPool(t *testing.T, n, workers, batch int, body func(w, i int, r *rng.Ran
 	if batch > 0 {
 		p.batch = batch
 	}
-	return p.Run(context.Background(), body, onPanic)
+	return p.Run(context.Background(), nil, body, onPanic)
 }
 
 // Which worker claims which batch is a scheduling detail: the outputs
@@ -48,6 +49,48 @@ func TestPoolWorkerBatchInvariant(t *testing.T) {
 	}
 }
 
+// A subset run calls body once for each listed replication, each on a
+// pristine copy of its own stream, and for no other: its outputs are
+// the full run's at those indices, for every worker count.
+func TestPoolRunsSubset(t *testing.T) {
+	const n = 23
+	full := make([][3]uint64, n)
+	if _, err := runPool(t, n, 1, 0, func(_, i int, r *rng.Rand) error {
+		full[i] = draws(r)
+		return nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	subset := []int{0, 4, 5, 11, 22}
+	for _, workers := range []int{1, 3, 7} {
+		p := NewPool(SplitStreams(1, n), workers)
+		out := make([][3]uint64, n)
+		var calls atomic.Int64
+		if _, err := p.Run(context.Background(), subset, func(w, i int, r *rng.Rand) error {
+			if w >= p.Workers() {
+				return fmt.Errorf("worker %d of %d", w, p.Workers())
+			}
+			calls.Add(1)
+			out[i] = draws(r)
+			return nil
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if c := calls.Load(); c != int64(len(subset)) {
+			t.Fatalf("workers=%d: %d body calls, want %d", workers, c, len(subset))
+		}
+		for i := range out {
+			want := [3]uint64{}
+			if slices.Contains(subset, i) {
+				want = full[i]
+			}
+			if out[i] != want {
+				t.Fatalf("workers=%d: replication %d = %v, want %v", workers, i, out[i], want)
+			}
+		}
+	}
+}
+
 // A cancelled context stops further claims: the in-flight replication
 // drains, nothing after it runs, and Run reports the context's error.
 func TestPoolCancelStopsClaims(t *testing.T) {
@@ -56,7 +99,7 @@ func TestPoolCancelStopsClaims(t *testing.T) {
 	p := NewPool(SplitStreams(1, 10), 1)
 	p.batch = 1
 	ran := 0
-	_, err := p.Run(ctx, func(_, i int, _ *rng.Rand) error {
+	_, err := p.Run(ctx, nil, func(_, i int, _ *rng.Rand) error {
 		ran++
 		if i == 3 {
 			cancel()

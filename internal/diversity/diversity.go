@@ -110,6 +110,48 @@ func (a *Assignment) Clone() *Assignment {
 	return &Assignment{entries: slices.Clone(a.entries)}
 }
 
+// CopyFrom makes a a deep copy of src (nil = the empty overlay), reusing
+// a's storage.
+func (a *Assignment) CopyFrom(src *Assignment) {
+	a.entries = a.entries[:0]
+	if src != nil {
+		a.entries = append(a.entries, src.entries...)
+	}
+}
+
+// Diff visits, in canonical (node, class) order, every pair where the
+// overlays of a and b differ: one has an entry the other lacks, or the
+// two name different variants. Every pair it does not visit resolves to
+// the same variant under both (an entry naming the node's default still
+// counts as a difference from no entry, so Diff may visit pairs that
+// resolve alike, never the reverse). It advances through the two sorted
+// overlays together, so it looks nothing up and allocates nothing. A nil
+// assignment is the empty overlay.
+func Diff(a, b *Assignment, visit func(n topology.NodeID, c exploits.Class)) {
+	var x, y []Entry
+	if a != nil {
+		x = a.entries
+	}
+	if b != nil {
+		y = b.entries
+	}
+	for len(x) > 0 || len(y) > 0 {
+		switch {
+		case len(y) == 0 || len(x) > 0 && compareSlots(x[0], y[0]) < 0:
+			visit(x[0].Node, x[0].Class)
+			x = x[1:]
+		case len(x) == 0 || compareSlots(x[0], y[0]) > 0:
+			visit(y[0].Node, y[0].Class)
+			y = y[1:]
+		default:
+			if x[0].Variant != y[0].Variant {
+				visit(x[0].Node, x[0].Class)
+			}
+			x, y = x[1:], y[1:]
+		}
+	}
+}
+
 // Len returns the number of explicit (node, class) overlay decisions.
 func (a *Assignment) Len() int { return len(a.entries) }
 

@@ -304,3 +304,75 @@ func TestRestoreUndoesLookup(t *testing.T) {
 		}
 	}
 }
+
+// Diff must visit exactly the pairs whose Lookup answers differ, entry
+// or absence, in canonical order, for random pairs of overlays that
+// share most entries, nil overlays included; CopyFrom must reproduce
+// its source without sharing storage.
+func TestDiffMatchesLookupOracle(t *testing.T) {
+	cat := exploits.StuxnetCatalog()
+	for name, topo := range oracleTopologies() {
+		slots, variants := carriedSlots(topo, cat)
+		t.Run(name, func(t *testing.T) {
+			r := rng.New(3)
+			random := func(base *Assignment, k int) *Assignment {
+				a := NewAssignment()
+				a.CopyFrom(base)
+				for range k {
+					s := slots[r.Intn(len(slots))]
+					if r.Intn(3) == 0 {
+						a.Unset(s.Node, s.Class)
+					} else {
+						vs := variants[s.Class]
+						a.Set(s.Node, s.Class, vs[r.Intn(len(vs))])
+					}
+				}
+				return a
+			}
+			for trial := range 200 {
+				a := random(nil, r.Intn(40))
+				b := random(a, r.Intn(4))
+				if trial%10 == 0 {
+					a = nil
+				}
+				oracle := a
+				if a == nil {
+					oracle = NewAssignment()
+				}
+				var want []Entry
+				for _, s := range slots {
+					av, aok := oracle.Lookup(s.Node, s.Class)
+					bv, bok := b.Lookup(s.Node, s.Class)
+					if av != bv || aok != bok {
+						want = append(want, Entry{Node: s.Node, Class: s.Class})
+					}
+				}
+				var got []Entry
+				Diff(a, b, func(n topology.NodeID, c exploits.Class) {
+					got = append(got, Entry{Node: n, Class: c})
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: Diff visited %v, want %v", trial, got, want)
+				}
+				var back []Entry
+				Diff(b, a, func(n topology.NodeID, c exploits.Class) {
+					back = append(back, Entry{Node: n, Class: c})
+				})
+				if !slices.Equal(back, want) {
+					t.Fatalf("trial %d: Diff is not symmetric: %v vs %v", trial, back, want)
+				}
+				c := NewAssignment().Set(0, exploits.ClassOS, "stale")
+				c.CopyFrom(b)
+				if c.Fingerprint() != b.Fingerprint() {
+					t.Fatalf("trial %d: CopyFrom produced %v, want %v", trial, c.Entries(), b.Entries())
+				}
+				if b.Len() > 0 {
+					c.Set(b.entries[0].Node, b.entries[0].Class, "mutated")
+					if b.entries[0].Variant == "mutated" {
+						t.Fatalf("trial %d: CopyFrom shares storage with its source", trial)
+					}
+				}
+			}
+		})
+	}
+}

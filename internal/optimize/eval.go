@@ -11,11 +11,13 @@ import (
 	"diversify/internal/digest"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
+	"diversify/internal/exploits"
 	"diversify/internal/indicators"
 	"diversify/internal/malware"
 	"diversify/internal/rng"
 	"diversify/internal/rotation"
 	"diversify/internal/telemetry"
+	"diversify/internal/topology"
 	"diversify/internal/trace"
 )
 
@@ -51,6 +53,12 @@ const (
 //     measured under common random numbers (identical attack luck), which
 //     makes candidate comparisons variance-reduced and the score a pure
 //     function of the candidate;
+//   - one reference candidate, which greedy declares at every round
+//     start: a static candidate replays the reference's replication r
+//     (copies its measurement vector) whenever the reference's run of r
+//     read no (node, class) pair where the two placements differ, since
+//     under the same stream the two runs are then identical, and only
+//     the remaining replications are simulated (see replay);
 //   - per-worker rotation engines for every schedule in
 //     Problem.Rotations, built lazily the first time a schedule is
 //     simulated (engine state is per-campaign; sharing one across
@@ -113,8 +121,41 @@ type Evaluator struct {
 	// worker count.
 	meas []evalstore.Measurements
 
+	// ref is the reference static candidates replay from. installed is
+	// the placement the runner's campaigns last resolved variants under
+	// (valid once installedOK), so a Run drops only the resolved indices
+	// of the slots that changed since; slots is the reusable buffer of
+	// diffSlots. simulated counts the replications the runner ran,
+	// replayed the ones copied from the reference instead.
+	ref         reference
+	installed   diversity.Assignment
+	installedOK bool
+	slots       []malware.Slot
+	simulated   int
+	replayed    int
+
 	// zoneBuf is the reusable scratch for MaxPerZone violation scans.
 	zoneBuf []diversity.Entry
+}
+
+// reference is the candidate whose replications static candidates
+// replay (see Evaluator.replay). Its measurement vectors and read sets
+// are recorded on the first candidate that needs simulating after it is
+// declared, so a candidate served from the cache or the store never
+// pays for a recording, and the buffers are allocated by the first
+// recording.
+type reference struct {
+	// a is the reference placement, valid while declared. A reference
+	// whose recording panicked is dropped: candidates simulate in full
+	// until the next declaration.
+	a                           diversity.Assignment
+	declared, recorded, dropped bool
+	// meas[i] and reads[i] are replication i's measurement vector and
+	// the (node, class) pairs it read; todo is the reusable list of the
+	// replications a candidate must simulate.
+	meas  []evalstore.Measurements
+	reads []malware.ReadSet
+	todo  []int
 }
 
 // newEvaluator prepares the campaign runner for a normalized, validated
@@ -256,6 +297,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		if e.sink != nil {
 			batchStart = wallClock()
 		}
+		simulated, replayed := e.simulated, e.replayed
 		m, err := e.simulate(c, nil)
 		var pe *des.PanicError
 		if errors.As(err, &pe) {
@@ -272,7 +314,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			e.persist(fp, &m)
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
-					Fingerprint: fp, Replications: e.p.Reps,
+					Fingerprint: fp, Replications: e.simulated - simulated, Replayed: e.replayed - replayed,
 					Duration:    sinceWall(batchStart),
 					Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
 				})
@@ -318,35 +360,43 @@ func (e *Evaluator) value(s Score) float64 {
 	}
 }
 
-// simulate runs the replications for one candidate on the evaluator's
-// runner and returns the mean measurement vector. Campaigns persist
-// ACROSS candidates and every candidate replays the same per-replication
-// streams (common random numbers). A non-nil capt records causal traces
-// of its sampled replications. A replication that panics on every retry
-// fails the candidate with a *des.PanicError.
+// simulate measures one candidate on the evaluator's runner and returns
+// the mean measurement vector. Campaigns persist ACROSS candidates and
+// every candidate replays the same per-replication streams (common
+// random numbers). A static, untraced candidate copies every
+// replication it cannot differ in from the reference and simulates only
+// the rest; the mean sums e.meas in replication order either way, so
+// the score is byte-identical to a full simulation's. A non-nil capt
+// records causal traces of its sampled replications. A replication that
+// panics on every retry fails the candidate with a *des.PanicError.
 func (e *Evaluator) simulate(c Candidate, capt *trace.Capture) (evalstore.Measurements, error) {
-	var rots []malware.Rotator
+	job := malware.Job{Capt: capt}
+	var err error
 	if c.Rot >= 0 {
-		var err error
-		if rots, err = e.engines(c.Rot); err != nil {
-			return evalstore.Measurements{}, err
-		}
-	}
-	retries, err := e.runner.Run(e.ctx, c.A.Func(), rots, capt, func(i int, out indicators.Outcome) {
-		if e.repHook != nil {
-			e.repHook(c, i)
-		}
-		e.meas[i] = measure(out)
-	})
-	e.retries += retries
-	var pe *des.PanicError
-	if errors.As(err, &pe) && e.sink != nil {
-		e.sink.Emit(telemetry.WorkerQuarantined{
-			Worker: pe.Worker, Replication: pe.Rep, Attempts: pe.Attempts, Cause: fmt.Sprint(pe.Cause),
-		})
+		job.Rots, err = e.engines(c.Rot)
+	} else if capt == nil {
+		job.Reps, err = e.replay(c.A)
 	}
 	if err != nil {
 		return evalstore.Measurements{}, err
+	}
+	// A nil job.Reps simulates every replication, an empty one none.
+	if job.Reps == nil || len(job.Reps) > 0 {
+		err = e.run(c.A, job, func(i int, out indicators.Outcome) {
+			if e.repHook != nil {
+				e.repHook(c, i)
+			}
+			e.meas[i] = measure(out)
+		})
+		var pe *des.PanicError
+		if errors.As(err, &pe) && e.sink != nil {
+			e.sink.Emit(telemetry.WorkerQuarantined{
+				Worker: pe.Worker, Replication: pe.Rep, Attempts: pe.Attempts, Cause: fmt.Sprint(pe.Cause),
+			})
+		}
+		if err != nil {
+			return evalstore.Measurements{}, err
+		}
 	}
 	var mean evalstore.Measurements
 	for i := range e.meas {
@@ -358,6 +408,120 @@ func (e *Evaluator) simulate(c Candidate, capt *trace.Capture) (evalstore.Measur
 		mean[k] /= float64(e.p.Reps)
 	}
 	return mean, nil
+}
+
+// run executes job under placement a on the evaluator's runner. It
+// names the slots that changed since the previous Run's placement, so
+// the workers' campaigns keep every other resolved variant, and it
+// counts the replications and retries.
+func (e *Evaluator) run(a *diversity.Assignment, job malware.Job, keep func(i int, out indicators.Outcome)) error {
+	job.Assign = a.Func()
+	if e.installedOK {
+		job.Changed = e.diffSlots(&e.installed, a)
+	}
+	e.installed.CopyFrom(a)
+	e.installedOK = true
+	if job.Reps == nil {
+		e.simulated += e.p.Reps
+	} else {
+		e.simulated += len(job.Reps)
+	}
+	retries, err := e.runner.Run(e.ctx, job, keep)
+	e.retries += retries
+	return err
+}
+
+// diffSlots lists the slots where placements a and b differ
+// (diversity.Diff) in e.slots, which the next call reuses. The result is
+// never nil, which Job.Changed would read as "any slot".
+func (e *Evaluator) diffSlots(a, b *diversity.Assignment) []malware.Slot {
+	slots := e.slots[:0]
+	diversity.Diff(a, b, func(n topology.NodeID, c exploits.Class) {
+		slots = append(slots, malware.Slot{Node: n, Class: c})
+	})
+	if slots == nil {
+		slots = []malware.Slot{}
+	}
+	e.slots = slots
+	return slots
+}
+
+// setReference declares c the reference that later static candidates
+// replay from; a rotating c, or a nil placement, declares none. The
+// placement is snapshotted, so the caller may keep mutating c. Greedy
+// calls it at every round start with its incumbent.
+func (e *Evaluator) setReference(c Candidate) {
+	ref := &e.ref
+	ref.declared = c.A != nil && c.Rot < 0
+	ref.recorded, ref.dropped = false, false
+	if ref.declared {
+		ref.a.CopyFrom(c.A)
+	}
+}
+
+// replay serves placement a's replications from the reference wherever
+// a cannot differ from it. Replication i of a and of the reference start
+// from the same stream, and a campaign reads the placement only through
+// its resolved variant table, so the two runs stay identical unless one
+// of them reads a slot where the placements differ, and the first such
+// read would be a read of the reference's run too. So when the
+// reference's run of i read none of those slots, its measurement vector
+// is a's: replay copies it into e.meas. It returns the replications that
+// must still be simulated (empty when none), or nil to simulate all when
+// no reference is declared or its recording panicked. The reference is
+// recorded here, on its first use.
+func (e *Evaluator) replay(a *diversity.Assignment) ([]int, error) {
+	ref := &e.ref
+	if !ref.declared || ref.dropped {
+		return nil, nil
+	}
+	if !ref.recorded {
+		err := e.record()
+		var pe *des.PanicError
+		if errors.As(err, &pe) {
+			ref.dropped = true
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	diff := e.diffSlots(&ref.a, a)
+	todo := ref.todo[:0]
+	for i, reads := range ref.reads {
+		if reads.ReadAny(diff) {
+			todo = append(todo, i)
+		} else {
+			e.meas[i] = ref.meas[i]
+			e.replayed++
+		}
+	}
+	ref.todo = todo
+	return todo, nil
+}
+
+// record simulates the declared reference once with read recording.
+// Its replications are ordinary simulated replications: the fault hook
+// sees them (as the reference candidate) and they count as simulated.
+func (e *Evaluator) record() error {
+	ref := &e.ref
+	if ref.meas == nil {
+		ref.meas = make([]evalstore.Measurements, e.p.Reps)
+		ref.reads = make([]malware.ReadSet, e.p.Reps)
+		for i := range ref.reads {
+			ref.reads[i] = malware.NewReadSet(e.p.Topo.Len())
+		}
+		ref.todo = make([]int, 0, e.p.Reps)
+	}
+	c := Candidate{A: &ref.a, Rot: -1}
+	err := e.run(c.A, malware.Job{Reads: ref.reads}, func(i int, out indicators.Outcome) {
+		if e.repHook != nil {
+			e.repHook(c, i)
+		}
+		ref.meas[i] = measure(out)
+	})
+	ref.recorded = err == nil
+	return err
 }
 
 // measure flattens one replication's outcome into the store's

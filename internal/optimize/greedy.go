@@ -50,10 +50,15 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 	nodes := p.Topo.Nodes()
 	var trace []TraceStep
 	var incumbents []Candidate
+	// Every option of a round differs from the incumbent in one pair, so
+	// the incumbent is the reference its probes replay from; the
+	// reference ends with the search.
+	defer ev.setReference(Candidate{Rot: -1})
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return trace, incumbents, err
 		}
+		ev.setReference(current)
 		// bestIdx >= 0 selects an option; bestRot != current.Rot (with
 		// bestIdx == -1) selects a schedule switch.
 		bestIdx, bestRot := -1, current.Rot

@@ -556,6 +556,13 @@ type RunStats struct {
 	// infeasible after a replication exhausted des.Pool's panic retries.
 	Retries     int
 	Quarantined int
+	// Simulated counts the replications the evaluator actually ran, the
+	// reference recordings, the random baseline and explanation replays
+	// included; Replayed counts the replications it copied from a
+	// reference candidate instead (see Evaluator). Result.Replications
+	// stays the logical Evaluations × Reps.
+	Simulated int
+	Replayed  int
 	// Elapsed is the full RunWith wall-clock.
 	Elapsed time.Duration
 }
@@ -748,6 +755,8 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		StorePuts:   ev.storePuts,
 		Retries:     ev.retries,
 		Quarantined: ev.quarantined,
+		Simulated:   ev.simulated,
+		Replayed:    ev.replayed,
 		Elapsed:     sinceWall(started),
 	}
 	res.Stats = stats
@@ -763,6 +772,8 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 			StoreHits:    stats.StoreHits,
 			StorePuts:    stats.StorePuts,
 			Replications: res.Replications,
+			Simulated:    stats.Simulated,
+			Replayed:     stats.Replayed,
 			Retries:      stats.Retries,
 			Quarantined:  stats.Quarantined,
 			Degraded:     degraded,

@@ -91,14 +91,27 @@ func TestStoreResumeByteIdentical(t *testing.T) {
 
 // A quarantine is stored as a tombstone: re-running against the store
 // serves the verdict instead of replaying the candidate's panics, and
-// the result is unchanged.
+// the result is unchanged. The poisoned option sits on a pair the
+// baseline reads: greedy's round 0 replays an option the baseline never
+// reads from the baseline, so its fault hook would never fire.
 func TestStoreServesQuarantine(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "evals.store")
 	o, _ := ByName("greedy")
+	reads := baselineReads(t, testProblem(59))
+	opt := -1
+	for i, o := range testProblem(59).Options {
+		if readsOf(reads, o.Node, o.Class) > 0 {
+			opt = i
+			break
+		}
+	}
+	if opt < 0 {
+		t.Fatal("the baseline reads no option's pair")
+	}
 	poisoned := func() Problem {
 		p := testProblem(59)
 		poison := p.base()
-		p.Options[0].Apply(poison)
+		p.Options[opt].Apply(poison)
 		poisonFP := poison.Fingerprint()
 		p.repHook = func(c Candidate, rep int) {
 			if c.Rot < 0 && c.A.Fingerprint() == poisonFP {

@@ -125,6 +125,23 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r.Retries != res.Stats.Retries || r.Quarantined != res.Stats.Quarantined {
 		t.Fatalf("fault accounting disagrees with Stats")
 	}
+	// The batches bill every simulated and replayed replication, the
+	// reference recordings included, and the report carries Stats'.
+	simulated, replayed := 0, 0
+	for _, e := range rec.Events() {
+		if b, ok := e.(telemetry.EvaluationBatch); ok {
+			simulated += b.Replications
+			replayed += b.Replayed
+		}
+	}
+	if simulated != res.Stats.Simulated || replayed != res.Stats.Replayed ||
+		r.SimulatedReplications != simulated || r.ReplayedReplications != replayed {
+		t.Fatalf("replication accounting: batches %d simulated / %d replayed, Stats %d / %d, report %d / %d",
+			simulated, replayed, res.Stats.Simulated, res.Stats.Replayed, r.SimulatedReplications, r.ReplayedReplications)
+	}
+	if replayed == 0 {
+		t.Fatal("the portfolio's greedy stage replayed nothing")
+	}
 }
 
 // The trace timestamps are monotonic: elapsed time never decreases

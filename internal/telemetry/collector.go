@@ -28,6 +28,11 @@ type Report struct {
 	WarmStarted    int     `json:"warm_started"`
 	WarmStartRatio float64 `json:"warm_start_ratio"`
 	Replications   int     `json:"replications"`
+	// SimulatedReplications / ReplayedReplications split the work the
+	// run actually did: replications simulated, and replications copied
+	// from a reference candidate instead.
+	SimulatedReplications int `json:"simulated_replications"`
+	ReplayedReplications  int `json:"replayed_replications"`
 
 	// Fault tolerance.
 	Retries     int `json:"retries"`
@@ -146,6 +151,8 @@ func (c *Collector) Emit(e Event) {
 		c.report.StoreHits = ev.StoreHits
 		c.report.StorePuts = ev.StorePuts
 		c.report.Replications = ev.Replications
+		c.report.SimulatedReplications = ev.Simulated
+		c.report.ReplayedReplications = ev.Replayed
 		c.report.Retries = ev.Retries
 		c.report.Quarantined = ev.Quarantined
 		if c.reg != nil {

@@ -26,6 +26,7 @@ func TestCollectorReport(t *testing.T) {
 	c.Emit(RunFinished{
 		Strategy: "portfolio", Best: 0.4, Evaluations: 40, CacheHits: 60,
 		StoreHits: 10, StorePuts: 30, Replications: 160,
+		Simulated: 72, Replayed: 56,
 		Retries: 2, Quarantined: 1,
 		Elapsed: 500 * time.Millisecond,
 	})
@@ -54,6 +55,9 @@ func TestCollectorReport(t *testing.T) {
 	}
 	if r.Retries != 2 || r.Quarantined != 1 {
 		t.Fatalf("fault accounting: %+v", r)
+	}
+	if r.SimulatedReplications != 72 || r.ReplayedReplications != 56 || r.Replications != 160 {
+		t.Fatalf("replication accounting: %d simulated, %d replayed, %d logical", r.SimulatedReplications, r.ReplayedReplications, r.Replications)
 	}
 	// Latency over the two simulated batches only (store serve excluded).
 	if r.EvalLatency == nil || r.EvalLatency.Count != 2 {

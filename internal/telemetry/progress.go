@@ -90,8 +90,8 @@ func (p *Progress) Emit(e Event) {
 			if ev.Degraded != "" {
 				state = "interrupted"
 			}
-			fmt.Fprintf(p.w, "optimize: [%s] %s in %s: best=%.6g, %d evaluations, %d cache hits\n",
-				ev.Strategy, state, ev.Elapsed.Round(time.Millisecond), ev.Best, ev.Evaluations, ev.CacheHits)
+			fmt.Fprintf(p.w, "optimize: [%s] %s in %s: best=%.6g, %d evaluations, %d cache hits, %d replications simulated, %d replayed\n",
+				ev.Strategy, state, ev.Elapsed.Round(time.Millisecond), ev.Best, ev.Evaluations, ev.CacheHits, ev.Simulated, ev.Replayed)
 		}
 	}
 }

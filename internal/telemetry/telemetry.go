@@ -82,8 +82,12 @@ func (RoundCompleted) Kind() string { return "round_completed" }
 // counters carried here and on RoundCompleted keep the split visible
 // without a ~400 ns event per memoized lookup.
 type EvaluationBatch struct {
-	Fingerprint  uint64
+	Fingerprint uint64
+	// Replications counts the replications simulated for this candidate,
+	// a reference recording it triggered included; Replayed counts the
+	// ones copied from the reference instead (see optimize.Evaluator).
 	Replications int
+	Replayed     int
 	// FromStore marks a warm-start serve from the durable evaluation
 	// store (no replications were spent).
 	FromStore bool
@@ -160,6 +164,12 @@ type RunFinished struct {
 	StoreHits    int
 	StorePuts    int
 	Replications int
+	// Simulated counts the replications the run actually simulated and
+	// Replayed the ones copied from a reference candidate; unlike
+	// Replications they are effort, not logical counts (a store-served
+	// run simulates nothing).
+	Simulated int
+	Replayed  int
 	// Fault-tolerance accounting: replication retry attempts and
 	// quarantined candidates.
 	Retries     int

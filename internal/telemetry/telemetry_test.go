@@ -116,9 +116,9 @@ func TestProgressTickerRateLimit(t *testing.T) {
 	// After the interval passes a steady-state round prints again.
 	clock = clock.Add(time.Second)
 	p.Emit(RoundCompleted{Strategy: "anneal", Round: 4, Incumbent: 0.4, Value: 0.7})
-	p.Emit(RunFinished{Strategy: "anneal", Best: 0.4, Evaluations: 5})
+	p.Emit(RunFinished{Strategy: "anneal", Best: 0.4, Evaluations: 5, Simulated: 12, Replayed: 8})
 	out := sb.String()
-	for _, want := range []string{"round 0", "round 3", "round 4", "anneal] done"} {
+	for _, want := range []string{"round 0", "round 3", "round 4", "anneal] done", "12 replications simulated, 8 replayed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing ticker line %q in:\n%s", want, out)
 		}
