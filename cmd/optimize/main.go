@@ -217,7 +217,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		fmt.Fprintf(out, "  %-8.1f %-10.4f %-10.3f %-10.3f %-10.1f %-14s %d\n",
 			p.Cost, p.Value, p.PSuccess, p.PDetect, p.MeanDetLatency, p.Rotation, len(p.Decisions))
 	}
-	fmt.Fprintf(out, "\nsearch: %d steps, %d candidates simulated (%d replications), cache hits %d\n",
+	fmt.Fprintf(out, "\nsearch: %d steps, %d candidates evaluated (%d replications scored), cache hits %d\n",
 		len(res.Trace), res.Evaluations, res.Replications, res.CacheHits)
 	for _, ex := range res.Explanations {
 		fmt.Fprintf(out, "\nexplanation [%s, schedule %s]: %d/%d replications traced, %d records\n",

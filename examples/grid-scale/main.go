@@ -105,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("search done in %v: %d candidates simulated (%d replications), %d cache hits\n\n",
+	fmt.Printf("search done in %v: %d candidates evaluated (%d replications scored), %d cache hits\n\n",
 		time.Since(searchStart).Round(time.Millisecond),
 		res.Evaluations, res.Replications, res.CacheHits)
 

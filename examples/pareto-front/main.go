@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pareto search: %d candidates simulated (%d replications), %d cache hits  [%v]\n\n",
+	fmt.Printf("pareto search: %d candidates evaluated (%d replications scored), %d cache hits  [%v]\n\n",
 		res.Evaluations, res.Replications, res.CacheHits,
 		time.Since(searchStart).Round(time.Millisecond))
 

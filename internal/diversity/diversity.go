@@ -213,43 +213,100 @@ type CostModel struct {
 	NodeCost     float64 // per node deviating from the topology default
 }
 
-// Cost evaluates the model over the classes present in the topology, in
-// one walk of the plant: the platform terms are summed first, class by
-// class in the order classes first appear in the walk, and NodeCost is
-// then added once per node deviating from its default.
+// Cost evaluates the model over the classes present in the topology.
+// The platform terms are summed first, class by class in the order
+// classes first appear in a node-ID walk of the plant, and NodeCost is
+// then added once per (node, class) the overlay moves off its default.
+//
+// It prices the overlay, not the plant: the topology's sealed
+// DefaultTally gives each class's default variants with their node
+// counts, and only the overlay's entries are walked. An entry on a class
+// its node does not carry, or naming the node's default, changes
+// nothing. Any other entry is one deviation: it takes one node from its
+// default's count and adds its variant to the class. A class's distinct
+// variants are then its defaults some node still runs plus the distinct
+// overridden variants that are not among them, the same sets a walk of
+// the whole plant finds, summed in the same order, so every result is
+// bit-identical to that walk. Cost allocates nothing for a plant of up
+// to 64 (class, default) pairs and an overlay of up to 16 distinct
+// (class, overridden variant) pairs.
+//
+//diversify:hotpath every scored candidate is priced; only a plant or overlay past the stack buffers may allocate
 func (cm CostModel) Cost(t *topology.Topology, a *Assignment) float64 {
-	type classVariants struct {
-		class    exploits.Class
-		variants []exploits.VariantID // distinct, first-seen order
+	var entries []Entry
+	if a != nil {
+		entries = a.entries
 	}
-	var buf [8]classVariants
-	seen := buf[:0]
+	tally := t.DefaultTally()
+	nodes := t.Nodes()
+	// moved[k] counts the deviations away from tally[k]'s default.
+	var movedBuf [64]int32
+	moved := movedBuf[:]
+	if len(tally) > len(moved) {
+		moved = make([]int32, len(tally))
+	}
+	// overrides lists the distinct (class, variant) pairs the deviating
+	// entries install.
+	var overridesBuf [16]Entry
+	overrides := overridesBuf[:0]
 	deviations := 0
-	a.Each(t, func(_ topology.NodeID, c exploits.Class, def, v exploits.VariantID) {
-		i := 0
-		for i < len(seen) && seen[i].class != c {
-			i++
+	for i := range entries {
+		e := &entries[i]
+		if e.Node < 0 || int(e.Node) >= len(nodes) {
+			continue
 		}
-		if i == len(seen) {
-			seen = append(seen, classVariants{class: c})
+		def, ok := nodes[e.Node].Component(e.Class)
+		if !ok || e.Variant == def {
+			continue
 		}
-		if !slices.Contains(seen[i].variants, v) {
-			seen[i].variants = append(seen[i].variants, v)
+		deviations++
+		for k := range tally {
+			if tally[k].Class == e.Class && tally[k].Variant == def {
+				moved[k]++
+				break
+			}
 		}
-		if v != def {
-			deviations++
+		o := Entry{Class: e.Class, Variant: e.Variant}
+		if !slices.Contains(overrides, o) {
+			overrides = append(overrides, o)
 		}
-	})
+	}
 	total := 0.0
-	for _, s := range seen {
-		if d := len(s.variants); d > 1 {
-			total += float64(d-1) * cm.PlatformCost
+	for lo := 0; lo < len(tally); {
+		class := tally[lo].Class
+		hi := lo
+		distinct := 0
+		for hi < len(tally) && tally[hi].Class == class {
+			if moved[hi] < int32(tally[hi].Nodes) {
+				distinct++
+			}
+			hi++
 		}
+		for _, o := range overrides {
+			if o.Class == class && !runsDefault(tally[lo:hi], moved[lo:hi], o.Variant) {
+				distinct++
+			}
+		}
+		if distinct > 1 {
+			total += float64(distinct-1) * cm.PlatformCost
+		}
+		lo = hi
 	}
 	for range deviations {
 		total += cm.NodeCost
 	}
 	return total
+}
+
+// runsDefault reports whether some node still runs v as its default,
+// given one class's tally and the deviations moved away from each.
+func runsDefault(tally []topology.DefaultCount, moved []int32, v exploits.VariantID) bool {
+	for k := range tally {
+		if tally[k].Variant == v {
+			return moved[k] < int32(tally[k].Nodes)
+		}
+	}
+	return false
 }
 
 // Placement strategies for hardened ("highly attack-resilient")

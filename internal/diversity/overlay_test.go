@@ -74,11 +74,15 @@ func (r refAssignment) effective(n topology.Node, c exploits.Class) (exploits.Va
 	return n.Component(c)
 }
 
-// refProfile is the per-class census over every node, as Cost computed
-// it before the walk.
+// refProfile is the per-class census over every node carrying the
+// class: an entry on a class its node does not carry is not part of the
+// plant.
 func (r refAssignment) refProfile(t *topology.Topology, c exploits.Class) map[exploits.VariantID]int {
 	counts := map[exploits.VariantID]int{}
 	for _, n := range t.Nodes() {
+		if _, carries := n.Component(c); !carries {
+			continue
+		}
 		if v, ok := r.effective(n, c); ok {
 			counts[v]++
 		}
@@ -86,17 +90,22 @@ func (r refAssignment) refProfile(t *topology.Topology, c exploits.Class) map[ex
 	return counts
 }
 
-// refCost is the pre-walk Cost formula: a class pre-pass, one profile
-// per class, then a deviation pass.
+// refCost is the whole-plant walk Cost replaced, kept as the oracle: a
+// per-class census over every node, then a deviation pass. It sums the
+// platform terms class by class in the order classes first appear in a
+// node-ID walk and adds NodeCost once per deviation in node order, as
+// Cost does, so the two must agree bit for bit at any prices.
 func (r refAssignment) refCost(cm CostModel, t *topology.Topology) float64 {
-	classes := map[exploits.Class]bool{}
+	var classes []exploits.Class
 	for _, n := range t.Nodes() {
 		for _, comp := range n.Components {
-			classes[comp.Class] = true
+			if !slices.Contains(classes, comp.Class) {
+				classes = append(classes, comp.Class)
+			}
 		}
 	}
 	total := 0.0
-	for c := range classes {
+	for _, c := range classes {
 		if d := len(r.refProfile(t, c)); d > 1 {
 			total += float64(d-1) * cm.PlatformCost
 		}
@@ -117,7 +126,34 @@ func oracleTopologies() map[string]*topology.Topology {
 		"tiered":    topology.NewTieredSCADA(topology.DefaultTieredSpec()),
 		"powergrid": topology.NewPowerGrid(topology.DefaultPowerGridSpec()),
 		"grid:60":   topology.NewMeshedGrid(topology.DefaultMeshedGridSpec(60)),
+		"mixed":     mixedPlant(),
 	}
+}
+
+// mixedPlant is a small plant whose classes have several default
+// variants, one of them on a single node, which the generated plants
+// (one default per class) never have.
+func mixedPlant() *topology.Topology {
+	t := topology.New()
+	os := func(v exploits.VariantID) map[exploits.Class]exploits.VariantID {
+		return map[exploits.Class]exploits.VariantID{exploits.ClassOS: v, exploits.ClassHMISoftware: exploits.HMIWinCC}
+	}
+	plc := func(fw, proto exploits.VariantID) map[exploits.Class]exploits.VariantID {
+		return map[exploits.Class]exploits.VariantID{exploits.ClassPLCFirmware: fw, exploits.ClassProtocol: proto}
+	}
+	ids := []topology.NodeID{
+		t.AddNode("pc", topology.KindCorporatePC, topology.ZoneCorporate, map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWinXPSP3}),
+		t.AddNode("hmi-a", topology.KindHMI, topology.ZoneControl, os(exploits.OSWin7)),
+		t.AddNode("hmi-b", topology.KindHMI, topology.ZoneControl, os(exploits.OSWin7)),
+		t.AddNode("hmi-c", topology.KindHMI, topology.ZoneControl, os(exploits.OSWinXPSP3)),
+		t.AddNode("plc-a", topology.KindPLC, topology.ZoneField, plc(exploits.PLCS7_315, exploits.ProtoModbusStd)),
+		t.AddNode("plc-b", topology.KindPLC, topology.ZoneField, plc(exploits.PLCS7_315, exploits.ProtoModbusStd)),
+		t.AddNode("plc-c", topology.KindPLC, topology.ZoneField, plc(exploits.PLCModicon, exploits.ProtoModbusDiv)),
+	}
+	for _, id := range ids[1:] {
+		t.Connect(ids[0], id, topology.MediumLAN, "")
+	}
+	return t
 }
 
 // carriedSlots lists every (node, class) the plant carries, with the
@@ -170,6 +206,9 @@ func checkAgainstRef(t *testing.T, topo *topology.Topology, a *Assignment, ref r
 	if got, want := cm.Cost(topo, a), ref.refCost(cm, topo); got != want {
 		t.Fatalf("Cost = %v, want %v", got, want)
 	}
+	if allocs := testing.AllocsPerRun(10, func() { cm.Cost(topo, a) }); allocs != 0 {
+		t.Fatalf("Cost allocates %v times per call", allocs)
+	}
 	nodes := topo.Nodes()
 	var visited []Entry
 	a.Each(topo, func(n topology.NodeID, c exploits.Class, def, v exploits.VariantID) {
@@ -191,8 +230,10 @@ func checkAgainstRef(t *testing.T, topo *topology.Topology, a *Assignment, ref r
 
 // The sorted overlay must answer Lookup, Len, Entries, Fingerprint, Each
 // and Cost exactly as the map-based oracle does, under random
-// Set/Unset/Clone sequences on carried classes. Prices are integers, so
-// Cost must agree bit for bit whatever order either side sums in.
+// Set/Unset/Clone sequences, including entries on classes a node does not
+// carry and entries naming the node's own default. Prices are not
+// integers, so Cost must also sum in the oracle's order to agree bit for
+// bit, and it must not allocate.
 func TestOverlayMatchesMapOracle(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
 	for name, topo := range oracleTopologies() {
@@ -205,17 +246,31 @@ func TestOverlayMatchesMapOracle(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				r := rng.New(seed)
-				cm := CostModel{PlatformCost: float64(1 + r.Intn(100)), NodeCost: float64(1 + r.Intn(20))}
+				cm := CostModel{PlatformCost: 0.1 + 99*r.Float64(), NodeCost: 0.1 + 19*r.Float64()}
 				a, ref := NewAssignment(), refAssignment{}
+				nodes := topo.Nodes()
 				for step := 0; step < 400; step++ {
 					s := slots[r.Intn(len(slots))]
-					switch op := r.Intn(10); {
+					switch op := r.Intn(12); {
 					case op < 6:
 						vs := variants[s.Class]
 						v := vs[r.Intn(len(vs))]
 						a.Set(s.Node, s.Class, v)
 						ref.set(s.Node, s.Class, v)
-					case op < 9:
+					case op == 6:
+						// The node's own default: an entry, but no deviation.
+						def, _ := nodes[s.Node].Component(s.Class)
+						a.Set(s.Node, s.Class, def)
+						ref.set(s.Node, s.Class, def)
+					case op == 7:
+						// A class the node does not carry: outside the plant.
+						c := classes[r.Intn(len(classes))]
+						if _, carries := nodes[s.Node].Component(c); !carries {
+							v := variants[c][r.Intn(len(variants[c]))]
+							a.Set(s.Node, c, v)
+							ref.set(s.Node, c, v)
+						}
+					case op < 11:
 						a.Unset(s.Node, s.Class)
 						ref.unset(s.Node, s.Class)
 					default:
@@ -374,5 +429,91 @@ func TestDiffMatchesLookupOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Moving every node off one default variant removes it from its class:
+// Cost must drop the variant when the last node leaves, whether the nodes
+// move to a default another node still runs or to a new variant, and keep
+// it while one node stays.
+func TestCostDropsDefaultWithItsLastNode(t *testing.T) {
+	cat := exploits.StuxnetCatalog()
+	cm := CostModel{PlatformCost: 7.3, NodeCost: 1.9}
+	merged := 0
+	for name, topo := range oracleTopologies() {
+		t.Run(name, func(t *testing.T) {
+			for _, d := range topo.DefaultTally() {
+				var carriers []topology.NodeID
+				for _, n := range topo.Nodes() {
+					if v, ok := n.Component(d.Class); ok && v == d.Variant {
+						carriers = append(carriers, n.ID)
+					}
+				}
+				if len(carriers) != d.Nodes {
+					t.Fatalf("tally says %d nodes run %q, the plant %d", d.Nodes, d.Variant, len(carriers))
+				}
+				// Targets: another default of the class, if any, and a
+				// catalog variant of the class that no node runs by default.
+				var targets []exploits.VariantID
+				for _, o := range topo.DefaultTally() {
+					if o.Class == d.Class && o.Variant != d.Variant {
+						targets = append(targets, o.Variant)
+						merged++
+						break
+					}
+				}
+				for _, v := range cat.VariantsOf(d.Class) {
+					if !slices.ContainsFunc(topo.DefaultTally(), func(o topology.DefaultCount) bool { return o.Variant == v.ID }) {
+						targets = append(targets, v.ID)
+						break
+					}
+				}
+				for _, v := range targets {
+					for _, keep := range []int{0, 1} {
+						a, ref := NewAssignment(), refAssignment{}
+						for _, id := range carriers[keep:] {
+							a.Set(id, d.Class, v)
+							ref.set(id, d.Class, v)
+						}
+						if got, want := cm.Cost(topo, a), ref.refCost(cm, topo); got != want {
+							t.Fatalf("%v %q → %q keeping %d: Cost = %v, want %v", d.Class, d.Variant, v, keep, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+	if merged == 0 {
+		t.Fatal("no plant has a class with two defaults: the merge case goes unchecked")
+	}
+}
+
+// A topology extended by AddNode and Connect after its first Cost must be
+// priced on the extended plant: the sealed default tally is rebuilt with
+// everything else.
+func TestCostSeesNodesAddedAfterFirstCost(t *testing.T) {
+	topo := testTopo()
+	cm := CostModel{PlatformCost: 3.7, NodeCost: 0.9}
+	a, ref := NewAssignment(), refAssignment{}
+	plc := topo.NodesOfKind(topology.KindPLC)[0]
+	a.Set(plc, exploits.ClassPLCFirmware, exploits.PLCModicon)
+	ref.set(plc, exploits.ClassPLCFirmware, exploits.PLCModicon)
+	before := cm.Cost(topo, a)
+	if want := ref.refCost(cm, topo); before != want {
+		t.Fatalf("Cost = %v, want %v", before, want)
+	}
+	// A new node with a default no other node runs adds a variant to the
+	// OS class, and an overlay entry on it is a deviation.
+	id := topo.AddNode("late-hmi", topology.KindHMI, topology.ZoneControl,
+		map[exploits.Class]exploits.VariantID{exploits.ClassOS: "late-os"})
+	topo.Connect(id, plc, topology.MediumLAN, "")
+	after := cm.Cost(topo, a)
+	if want := ref.refCost(cm, topo); after != want || after == before {
+		t.Fatalf("after AddNode: Cost = %v (was %v), want %v", after, before, want)
+	}
+	a.Set(id, exploits.ClassOS, exploits.OSHardened)
+	ref.set(id, exploits.ClassOS, exploits.OSHardened)
+	if got, want := cm.Cost(topo, a), ref.refCost(cm, topo); got != want {
+		t.Fatalf("after an entry on the new node: Cost = %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,5 +101,32 @@ func BenchmarkNeighbors(b *testing.B) {
 		if len(tp.Neighbors(engs[i%len(engs)])) == 0 {
 			b.Fatal("no neighbors")
 		}
+	}
+}
+
+// DefaultTally lists each (class, default variant) with its node count,
+// classes in first-appearance order of a node-ID walk and variants in
+// first-seen order within a class, and AddNode rebuilds it.
+func TestDefaultTallyOrderAndReseal(t *testing.T) {
+	tp := New()
+	plc := map[exploits.Class]exploits.VariantID{exploits.ClassPLCFirmware: exploits.PLCS7_315, exploits.ClassProtocol: exploits.ProtoModbusStd}
+	tp.AddNode("plc-a", KindPLC, ZoneField, plc)
+	tp.AddNode("hmi", KindHMI, ZoneControl, map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWin7})
+	tp.AddNode("bare", KindSensor, ZoneField, nil)
+	tp.AddNode("plc-b", KindPLC, ZoneField, plc)
+	tp.AddNode("ews", KindEngWorkstation, ZoneControl, map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWinXPSP3})
+	want := []DefaultCount{
+		{Class: exploits.ClassPLCFirmware, Variant: exploits.PLCS7_315, Nodes: 2},
+		{Class: exploits.ClassProtocol, Variant: exploits.ProtoModbusStd, Nodes: 2},
+		{Class: exploits.ClassOS, Variant: exploits.OSWin7, Nodes: 1},
+		{Class: exploits.ClassOS, Variant: exploits.OSWinXPSP3, Nodes: 1},
+	}
+	if got := tp.DefaultTally(); !slices.Equal(got, want) {
+		t.Fatalf("DefaultTally = %+v, want %+v", got, want)
+	}
+	tp.AddNode("hmi-2", KindHMI, ZoneControl, map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWin7})
+	want[2].Nodes++
+	if got := tp.DefaultTally(); !slices.Equal(got, want) {
+		t.Fatalf("after AddNode, DefaultTally = %+v, want %+v", got, want)
 	}
 }

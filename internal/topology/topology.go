@@ -195,6 +195,8 @@ type sealedGraph struct {
 	all    neighborView
 	byVec  []neighborView // indexed by exploits.Vector
 	byKind map[Kind][]NodeID
+	// defaults tallies the default variants per class (see DefaultTally).
+	defaults []DefaultCount
 }
 
 // neighborView is one CSR adjacency: node i's neighbors occupy
@@ -321,8 +323,57 @@ func (t *Topology) buildSeal() *sealedGraph {
 	for _, node := range t.nodes {
 		s.byKind[node.Kind] = append(s.byKind[node.Kind], node.ID)
 	}
+	s.defaults = t.tallyDefaults()
 	return s
 }
+
+// tallyDefaults counts the nodes carrying each default variant, class by
+// class in first-appearance order and variants in first-seen order
+// within a class. A plant has a handful of classes and variants per
+// class, so both are found by linear search.
+func (t *Topology) tallyDefaults() []DefaultCount {
+	var groups [][]DefaultCount // one per class, in first-appearance order
+	for _, node := range t.nodes {
+		for _, comp := range node.Components {
+			g := 0
+			for g < len(groups) && groups[g][0].Class != comp.Class {
+				g++
+			}
+			if g == len(groups) {
+				groups = append(groups, nil)
+			}
+			i := 0
+			for i < len(groups[g]) && groups[g][i].Variant != comp.Variant {
+				i++
+			}
+			if i == len(groups[g]) {
+				groups[g] = append(groups[g], DefaultCount{Class: comp.Class, Variant: comp.Variant})
+			}
+			groups[g][i].Nodes++
+		}
+	}
+	var out []DefaultCount
+	for _, g := range groups {
+		out = append(out, g...)
+	}
+	return out
+}
+
+// DefaultCount is one entry of a plant's default-variant tally: the
+// number of nodes that carry Variant for Class by default.
+type DefaultCount struct {
+	Class   exploits.Class
+	Variant exploits.VariantID
+	Nodes   int
+}
+
+// DefaultTally lists every (class, default variant) pair the plant
+// carries with its node count. A class's entries are contiguous, classes
+// in the order they first appear when walking nodes in ID order (classes
+// ascending within a node), and variants in first-seen order within a
+// class. The slice is a view into the sealed layout: zero-allocation,
+// shared, read-only, and rebuilt after AddNode or Connect.
+func (t *Topology) DefaultTally() []DefaultCount { return t.seal().defaults }
 
 // Len returns the number of nodes.
 func (t *Topology) Len() int { return len(t.nodes) }
