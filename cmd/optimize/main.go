@@ -7,7 +7,7 @@
 // Usage:
 //
 //	optimize -topo powergrid -strategy anneal -budget 40 -iterations 300 -seed 7
-//	optimize -strategy genetic -classes OS,Protocol -json
+//	optimize -classes OS,Protocol -json
 //	optimize -topo grid:200 -classes PLC,Protocol -reps 8 -iterations 2 -budget 20
 //	optimize -topo grid:200 -strategy pareto -objectives cost,success,detection
 //	optimize -topo grid:100 -screen 200   # greedy, top-200 surrogate screen
@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	var (
 		topo        = fs.String("topo", "tiered", "topology: tiered, powergrid, or grid:N[:regions] (generated N-substation meshed grid)")
 		threat      = fs.String("threat", "stuxnet", "threat profile: stuxnet, duqu, flame")
-		strategy    = fs.String("strategy", "greedy", "search strategy: greedy, anneal, genetic, portfolio, pareto")
+		strategy    = fs.String("strategy", "greedy", "search strategy: greedy, anneal, pareto")
 		classes     = fs.String("classes", "OS,PLC,Protocol", "comma-separated component classes (OS, PLC, Protocol, HMI, EngTools, Historian)")
 		objective   = fs.String("objective", "success", "minimized indicator: success, ratio, ttsf, foothold")
 		objectives  = fs.String("objectives", "", "Pareto front axes, comma-separated from cost,success,detection,foothold (empty = cost,success,detection)")
@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		platform    = fs.Float64("platform-cost", 5, "cost per extra distinct variant per class")
 		nodeCost    = fs.Float64("node-cost", 2, "cost per node deviating from the default")
 		iters       = fs.Int("iterations", 0, "search iterations (0 = strategy default)")
-		pop         = fs.Int("pop", 0, "genetic and pareto (NSGA-II) population size (0 = default)")
+		pop         = fs.Int("pop", 0, "pareto (NSGA-II) population size (0 = default)")
 		reps        = fs.Int("reps", 64, "Monte-Carlo replications per candidate")
 		horizon     = fs.Float64("horizon", 720, "observation window in hours")
 		seed        = fs.Uint64("seed", 1, "RNG seed (fixes the whole search)")

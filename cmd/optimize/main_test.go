@@ -28,7 +28,7 @@ func smallArgs(strategy string) []string {
 // an assignment with strictly lower attack success / compromised ratio
 // than random placement at the same budget, deterministically under a
 // fixed seed, and the memoization cache reports hits for the stochastic
-// searches.
+// search.
 func TestStrategiesBeatRandomPlacement(t *testing.T) {
 	type summary struct {
 		Random struct {
@@ -42,7 +42,7 @@ func TestStrategiesBeatRandomPlacement(t *testing.T) {
 		} `json:"best"`
 		CacheHits int `json:"cache_hits"`
 	}
-	for _, strategy := range []string{"greedy", "anneal", "genetic"} {
+	for _, strategy := range []string{"greedy", "anneal"} {
 		var buf bytes.Buffer
 		if err := run(t.Context(), append(smallArgs(strategy), "-json"), &buf, io.Discard); err != nil {
 			t.Fatalf("%s: %v", strategy, err)
@@ -134,21 +134,17 @@ func TestGridTopologySelector(t *testing.T) {
 	}
 }
 
-// The portfolio strategy is selectable from the CLI and reports all
-// three stage prefixes in its JSON trace.
-func TestPortfolioStrategyCLI(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(t.Context(), []string{
-		"-topo", "powergrid", "-strategy", "portfolio", "-budget", "12",
-		"-reps", "4", "-horizon", "120", "-iterations", "6", "-seed", "2", "-json",
-	}, &buf, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, stage := range []string{"greedy: ", "anneal: ", "genetic: "} {
-		if !strings.Contains(out, stage) {
-			t.Errorf("portfolio trace missing %q stage", stage)
+// The strategies that never beat greedy are gone: naming one is a hard
+// failure (main exits 1) whose error lists the strategies that remain.
+func TestRemovedStrategiesRejected(t *testing.T) {
+	for _, name := range []string{"portfolio", "genetic"} {
+		err := run(t.Context(), []string{"-strategy", name, "-reps", "2", "-horizon", "24"}, io.Discard, io.Discard)
+		var deg *errDegraded
+		if err == nil || errors.As(err, &deg) {
+			t.Fatalf("-strategy %s: err = %v, want a hard failure", name, err)
+		}
+		if !strings.Contains(err.Error(), "want greedy, anneal or pareto") {
+			t.Errorf("-strategy %s: error %q does not name the remaining strategies", name, err)
 		}
 	}
 }

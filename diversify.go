@@ -16,9 +16,9 @@
 //     components are worth diversifying;
 //  4. Diversity Placement — budget-constrained optimization deciding
 //     WHERE the scarce resilient variants go: greedy, simulated-annealing
-//     and genetic search over node-variant assignments with the
-//     Monte-Carlo campaign engine as the objective function (see
-//     Optimize).
+//     and NSGA-II multi-objective search over node-variant assignments
+//     with the Monte-Carlo campaign engine as the objective function
+//     (see Optimize).
 //
 // Quick start:
 //
@@ -227,10 +227,9 @@ type OptimizeConfig struct {
 	Topology string
 	// Threat selects the profile: "stuxnet" (default), "duqu", "flame".
 	Threat string
-	// Strategy selects the search: "greedy" (default), "anneal",
-	// "genetic", "portfolio" (greedy, then annealing and genetic seeded
-	// from the greedy solution, best of all three), or "pareto" (NSGA-II
-	// multi-objective search over the cost × success × detection front).
+	// Strategy selects the search: "greedy" (default), "anneal", or
+	// "pareto" (NSGA-II multi-objective search over the cost × success ×
+	// detection front).
 	Strategy string
 	// Classes are the diversifiable component classes by factor name
 	// ("OS", "PLC", "Protocol", "HMI", "EngTools", "Historian"); default
@@ -267,9 +266,9 @@ type OptimizeConfig struct {
 	Budget       float64
 	PlatformCost float64
 	NodeCost     float64
-	// Iterations bounds the search (annealing proposals / genetic
+	// Iterations bounds the search (annealing proposals / NSGA-II
 	// generations / greedy rounds; 0 = strategy default); Population is
-	// the genetic and pareto (NSGA-II) population size.
+	// the pareto (NSGA-II) population size.
 	Iterations int
 	Population int
 	// Reps is the Monte-Carlo replication count per candidate (default

@@ -3,9 +3,8 @@
 // pipeline holds up at the network sizes the later diversified-network
 // studies (Li et al., Chen et al.) evaluate on. This example generates a
 // 200-substation meshed transmission grid (~1200 nodes), measures the
-// monoculture baseline, and runs the portfolio search (greedy, then
-// annealing and genetic seeded from the greedy solution) over RTU
-// firmware + protocol switches.
+// monoculture baseline, and runs the greedy marginal-gain search over
+// RTU firmware + protocol switches.
 //
 // The machinery that makes this interactive rather than overnight:
 //
@@ -83,11 +82,11 @@ func main() {
 		reps, horizon, float64(succ)/float64(len(outs)), ratio/float64(len(outs)),
 		time.Since(evalStart).Round(time.Millisecond))
 
-	// Portfolio search over RTU firmware + protocol switches.
+	// Greedy search over RTU firmware + protocol switches.
 	options := diversity.EnumerateOptions(topo, cat,
 		[]exploits.Class{exploits.ClassPLCFirmware, exploits.ClassProtocol},
 		func(n topology.Node) bool { return n.Kind == topology.KindPLC })
-	fmt.Printf("searching %d (node, class, variant) options, budget %.0f, strategy portfolio\n",
+	fmt.Printf("searching %d (node, class, variant) options, budget %.0f, strategy greedy\n",
 		len(options), budget)
 	searchStart := time.Now()
 	res, err := optimize.Run(optimize.Problem{
@@ -100,8 +99,7 @@ func main() {
 		Reps:       reps,
 		Seed:       seed,
 		Iterations: 40,
-		Population: 12,
-	}, &optimize.Portfolio{})
+	}, &optimize.Greedy{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func main() {
 		fmt.Printf("  cost %-6.1f value %-8.4f (%d decisions)\n", p.Cost, p.Value, len(p.Decisions))
 	}
 	fmt.Println("\nreading: even at 200 substations the attack funnels through a small cut")
-	fmt.Println("set; a handful of diversified RTU stacks closes it, and the portfolio")
+	fmt.Println("set; a handful of diversified RTU stacks closes it, and the greedy")
 	fmt.Println("search finds them in seconds because steady-state replications recycle")
 	fmt.Println("the event arena instead of reallocating it.")
 	fmt.Printf("total %v\n", time.Since(start).Round(time.Millisecond))

@@ -9,7 +9,7 @@
 //   - PlaceWorst   — harden the k least path-central nodes (lower bound);
 //   - PlaceStrategic — harden the k most path-central nodes (articulation
 //     points first): the paper's policy made concrete;
-//   - the step-4 optimizer (greedy / anneal / genetic), which searches
+//   - the step-4 optimizer (greedy / anneal), which searches
 //     assignments with the Monte-Carlo campaign engine as the objective.
 //
 // The optimizer routinely matches or beats hand-crafted strategic
@@ -103,7 +103,7 @@ func main() {
 	// The optimizer searches OS + protocol switches under the same budget.
 	options := diversity.EnumerateOptions(topo, cat,
 		[]exploits.Class{exploits.ClassOS, exploits.ClassProtocol}, filter)
-	for _, name := range []string{"greedy", "anneal", "genetic"} {
+	for _, name := range []string{"greedy", "anneal"} {
 		strat, err := optimize.ByName(name)
 		if err != nil {
 			log.Fatal(err)

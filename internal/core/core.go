@@ -149,23 +149,13 @@ func (r *Results) Responses(ind Indicator) ([][]float64, error) {
 		for i, o := range reps {
 			switch ind {
 			case IndicatorTTA:
-				if o.Success {
-					row[i] = o.TTA
-				} else {
-					row[i] = o.Horizon
-				}
+				row[i] = o.CensoredTTA()
 			case IndicatorTTSF:
-				if o.Detected {
-					row[i] = o.TTSF
-				} else {
-					row[i] = o.Horizon
-				}
+				row[i] = o.CensoredTTSF()
 			case IndicatorSuccess:
-				if o.Success {
-					row[i] = 1
-				}
+				row[i] = o.SuccessValue()
 			case IndicatorFinalRatio:
-				row[i] = indicators.RatioAt(o.Compromised, o.Horizon)
+				row[i] = o.FinalRatio()
 			default:
 				return nil, fmt.Errorf("%w: unknown indicator %q", ErrBadStudy, ind)
 			}

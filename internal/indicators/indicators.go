@@ -108,6 +108,47 @@ func (o Outcome) DwellTime() float64 {
 	return o.Horizon - start
 }
 
+// The per-replication responses below are the one spelling of each
+// indicator that the DoE responses (core.Results.Responses) and the
+// optimizer's measurements share; each is small enough to inline.
+
+// SuccessValue is the attack-success indicator: 1 when the attack reached
+// its objective within the horizon, else 0. Its mean over replications
+// is the success probability.
+func (o Outcome) SuccessValue() float64 { return b01(o.Success) }
+
+// DetectedValue is the detection indicator: 1 when defenders perceived
+// the attack, else 0.
+func (o Outcome) DetectedValue() float64 { return b01(o.Detected) }
+
+// CensoredTTA is the Time-To-Attack, censored at the horizon when the
+// attack did not succeed.
+func (o Outcome) CensoredTTA() float64 {
+	if o.Success {
+		return o.TTA
+	}
+	return o.Horizon
+}
+
+// CensoredTTSF is the Time-To-Security-Failure, censored at the horizon
+// when the attack went undetected.
+func (o Outcome) CensoredTTSF() float64 {
+	if o.Detected {
+		return o.TTSF
+	}
+	return o.Horizon
+}
+
+// FinalRatio is the compromised ratio at the horizon.
+func (o Outcome) FinalRatio() float64 { return RatioAt(o.Compromised, o.Horizon) }
+
+func b01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // SuccessProbability returns the attack-success fraction with a Wilson
 // confidence interval at the given level.
 func SuccessProbability(outcomes []Outcome, level float64) (stats.Interval, error) {
@@ -243,7 +284,7 @@ func Summarize(outcomes []Outcome, level float64) (Report, error) {
 	finals := make([]float64, 0, len(outcomes))
 	sum := 0.0
 	for _, o := range outcomes {
-		v := RatioAt(o.Compromised, o.Horizon)
+		v := o.FinalRatio()
 		finals = append(finals, v)
 		sum += v
 	}

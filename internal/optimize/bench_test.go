@@ -117,20 +117,3 @@ func BenchmarkParetoGrid(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkOptimizePortfolio measures the portfolio strategy (greedy →
-// seeded anneal → seeded genetic) on the reference plant.
-func BenchmarkOptimizePortfolio(b *testing.B) {
-	o, err := ByName("portfolio")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := benchProblem()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

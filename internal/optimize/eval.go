@@ -65,7 +65,7 @@ const (
 //     workers would race) — the runner's campaigns swap between rotated
 //     and static candidates;
 //   - a memoization cache keyed by candidate fingerprint (assignment ×
-//     schedule), so a candidate revisited by annealing or genetic
+//     schedule), so a candidate revisited by annealing or NSGA-II
 //     recombination is never re-simulated.
 //
 // Score calls must come from one goroutine (the strategy loop); the
@@ -528,22 +528,11 @@ func (e *Evaluator) record() error {
 // measurement order (see scoreFromMeasurements); time-to-security-failure
 // is censored at the horizon for undetected replications.
 func measure(out indicators.Outcome) evalstore.Measurements {
-	ttsf := out.Horizon
-	if out.Detected {
-		ttsf = out.TTSF
-	}
 	return evalstore.Measurements{
-		b2f(out.Success), ttsf, indicators.RatioAt(out.Compromised, out.Horizon),
-		b2f(out.Detected), out.DwellTime(), float64(out.Detections), out.FootholdTime,
+		out.SuccessValue(), out.CensoredTTSF(), out.FinalRatio(),
+		out.DetectedValue(), out.DwellTime(), float64(out.Detections), out.FootholdTime,
 		float64(out.Rotations), float64(out.Reinfections), out.RotationCost,
 	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // explain re-simulates one candidate with trace capture on the sampled

@@ -31,16 +31,16 @@ type goldenCase struct {
 	cfg  diversify.OptimizeConfig
 }
 
-// goldenCases pins the optimizer's `-json` output: all five strategies on
-// static placement, all five on the placement × schedule space under the
-// foothold objective, greedy with trace explanations, and anneal and
+// goldenCases pins the optimizer's `-json` output: all three strategies
+// on static placement, all three on the placement × schedule space under
+// the foothold objective, greedy with trace explanations, and anneal and
 // greedy under a per-zone variant cap of 2 (which pins the anneal
 // trace's "[zone cap]" rejections). Worker-count
 // invariance and clean-vs-resumed identity only compare the optimizer
 // with itself; these files compare it with a fixed answer.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	strategies := []string{"greedy", "anneal", "genetic", "portfolio", "pareto"}
+	strategies := []string{"greedy", "anneal", "pareto"}
 	for _, s := range strategies {
 		cases = append(cases, goldenCase{s + "-static", goldenConfig(s)})
 	}

@@ -16,7 +16,7 @@ type classVariant struct {
 }
 
 // moveSpace precomputes the neighborhood structure annealing and the
-// genetic mutator draw moves from: the flat option list, the nodes
+// NSGA-II mutator draw moves from: the flat option list, the nodes
 // carrying each class, and the nodes each (class, variant) can go to.
 type moveSpace struct {
 	p       *Problem
@@ -206,16 +206,4 @@ func (ms *moveSpace) breed(next []Candidate, n int, mutProb float64, pick func()
 		next = append(next, child)
 	}
 	return next
-}
-
-// tournament draws k uniform indices into a population of n and returns
-// the best under less.
-func tournament(r *rng.Rand, n, k int, less func(a, b int) bool) int {
-	best := r.Intn(n)
-	for i := 1; i < k; i++ {
-		if c := r.Intn(n); less(c, best) {
-			best = c
-		}
-	}
-	return best
 }

@@ -12,14 +12,13 @@
 // strategies share one Optimizer interface: greedy marginal-gain
 // placement (with surrogate screening of large option spaces), simulated
 // annealing over neighbor moves (upgrade / drop / relocate / swap a
-// node's variant), a genetic search with crossover over node-variant
-// overlays, the portfolio chain, and an NSGA-II multi-objective search
-// ("pareto") over the cost × attack-success × detection-speed front.
-// All of them drive a shared Evaluator that
-// fans replications out over a pool of workers with per-worker reusable
-// campaigns and per-replication seeded RNG streams (common random numbers
-// across candidates), memoizing scores by assignment fingerprint so an
-// identical candidate is never re-simulated.
+// node's variant), and an NSGA-II multi-objective search ("pareto") over
+// the cost × attack-success × detection-speed front. All of them drive
+// a shared Evaluator that fans replications out over a pool of workers
+// with per-worker reusable campaigns and per-replication seeded RNG
+// streams (common random numbers across candidates), memoizing scores
+// by assignment fingerprint so an identical candidate is never
+// re-simulated.
 //
 // Every search is deterministic for a given (Problem, strategy, Seed)
 // regardless of the worker count.
@@ -199,14 +198,13 @@ type Problem struct {
 	// rotation spend competes with placement spend under one Budget.
 	Rotations []rotation.Spec
 	// BaseRotation selects the starting candidate's schedule as
-	// 1+index into Rotations (0 = static start). The portfolio strategy
-	// uses it to reseed stochastic stages from a rotated incumbent.
+	// 1+index into Rotations (0 = static start).
 	BaseRotation int
 	// MaxPerZone, when positive, constrains every topology zone to at
 	// most MaxPerZone distinct effective variants per component class —
 	// the fleet-management bound beyond the budget. Enforced by
-	// Evaluator.Score and genetic/NSGA-II repair; the base configuration
-	// must satisfy it.
+	// Evaluator.Score and NSGA-II repair; the base configuration must
+	// satisfy it.
 	MaxPerZone int
 	// Horizon is the campaign observation window in hours (default 720).
 	Horizon float64
@@ -217,11 +215,11 @@ type Problem struct {
 	// Seed drives every random choice: evaluation streams, strategy
 	// moves, the random-fill comparison baseline.
 	Seed uint64
-	// Iterations bounds the search: annealing proposals, genetic
+	// Iterations bounds the search: annealing proposals, NSGA-II
 	// generations, greedy rounds (0 = strategy default).
 	Iterations int
-	// Population is the genetic and pareto (NSGA-II) population size
-	// (0 = default 16).
+	// Population is the pareto (NSGA-II) population size (0 = default
+	// 16).
 	Population int
 	// FirewallVariant optionally overrides every firewalled link.
 	FirewallVariant exploits.VariantID
@@ -493,22 +491,17 @@ type Optimizer interface {
 	Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error)
 }
 
-// ByName returns the named strategy ("greedy", "anneal", "genetic",
-// "portfolio" or "pareto").
+// ByName returns the named strategy ("greedy", "anneal" or "pareto").
 func ByName(name string) (Optimizer, error) {
 	switch name {
 	case "greedy":
 		return &Greedy{}, nil
 	case "anneal":
 		return &Anneal{}, nil
-	case "genetic":
-		return &Genetic{}, nil
-	case "portfolio":
-		return &Portfolio{}, nil
 	case "pareto":
 		return &Pareto{}, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown strategy %q (want greedy, anneal, genetic, portfolio or pareto)", ErrBadProblem, name)
+		return nil, fmt.Errorf("%w: unknown strategy %q (want greedy, anneal or pareto)", ErrBadProblem, name)
 	}
 }
 

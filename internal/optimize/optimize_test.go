@@ -3,7 +3,6 @@ package optimize
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"diversify/internal/diversity"
@@ -33,7 +32,7 @@ func testProblem(seed uint64) Problem {
 func strategies(t *testing.T) []Optimizer {
 	t.Helper()
 	var out []Optimizer
-	for _, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for _, name := range []string{"greedy", "anneal", "pareto"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -111,11 +110,10 @@ func TestNeverWorseThanBaseline(t *testing.T) {
 	}
 }
 
-// Annealing and genetic search revisit candidates; the fingerprint cache
-// must convert those into hits (identical candidates are never
-// re-simulated).
+// Annealing revisits candidates; the fingerprint cache must convert
+// those into hits (identical candidates are never re-simulated).
 func TestMemoizationHits(t *testing.T) {
-	for _, name := range []string{"anneal", "genetic"} {
+	for _, name := range []string{"anneal"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -237,85 +235,5 @@ func TestGreedyTraceMonotone(t *testing.T) {
 			t.Errorf("greedy step %d value %.4f did not improve on %.4f", i, step.Value, prev)
 		}
 		prev = step.Value
-	}
-}
-
-// Portfolio chains greedy → anneal → genetic over one shared evaluator;
-// its result can never be worse than running greedy alone on the same
-// problem, and it must stay deterministic across worker counts.
-func TestPortfolioNeverWorseThanGreedy(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		p := testProblem(seed)
-		p.Reps = 4
-		p.Iterations = 10
-		greedy, err := Run(p, &Greedy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := Run(testProblemLike(p), &Portfolio{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pf.Best.Value > greedy.Best.Value {
-			t.Errorf("seed %d: portfolio best %.4f worse than greedy %.4f",
-				seed, pf.Best.Value, greedy.Best.Value)
-		}
-		if pf.Best.Cost > p.Budget+budgetEps {
-			t.Errorf("seed %d: portfolio best cost %.2f over budget", seed, pf.Best.Cost)
-		}
-	}
-}
-
-// testProblemLike clones a problem value for a second run (Problem is a
-// value type; the copy keeps the same topology and option space).
-func testProblemLike(p Problem) Problem { return p }
-
-// Portfolio is a strategy like any other: registered by name,
-// deterministic trace and winner for a fixed seed.
-func TestPortfolioDeterministic(t *testing.T) {
-	o, err := ByName("portfolio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantTrace, wantFP string
-	for i, workers := range []int{1, 4} {
-		p := testProblem(21)
-		p.Reps = 4
-		p.Iterations = 8
-		p.Workers = workers
-		res, err := Run(p, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := traceString(res.Trace)
-		fp := fmt.Sprintf("%016x/%+v", res.BestFingerprint, res.Best)
-		if i == 0 {
-			wantTrace, wantFP = trace, fp
-			continue
-		}
-		if trace != wantTrace {
-			t.Fatalf("workers=%d: portfolio trace diverged", workers)
-		}
-		if fp != wantFP {
-			t.Fatalf("workers=%d: portfolio best diverged", workers)
-		}
-	}
-	// The trace must show all three stages ran.
-	res, err := Run(func() Problem { p := testProblem(21); p.Reps = 4; p.Iterations = 8; return p }(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]bool{}
-	for _, s := range res.Trace {
-		for _, prefix := range []string{"greedy: ", "anneal: ", "genetic: "} {
-			if strings.HasPrefix(s.Action, prefix) {
-				stages[prefix] = true
-			}
-		}
-	}
-	for _, prefix := range []string{"greedy: ", "anneal: ", "genetic: "} {
-		if !stages[prefix] {
-			t.Errorf("portfolio trace has no %q steps", prefix)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"diversify/internal/diversity"
 	"diversify/internal/rng"
 )
 
@@ -14,11 +15,12 @@ import (
 // front axes (default cost × attack-success × detection speed, all
 // minimized): fast non-dominated sorting ranks the population into
 // fronts, crowding distance spreads survivors along each front, and
-// binary tournaments on (rank, crowding) select parents for the same
-// crossover / mutation / budget-repair operators the genetic strategy
-// uses. Instead of collapsing the objectives into one scalar it grows
-// the archive toward the whole trade-off surface; Run then extracts the
-// deduplicated non-dominated front from everything evaluated.
+// binary tournaments on (rank, crowding) select parents for uniform
+// crossover over overlay decisions, annealing's mutation moves and
+// budget repair. Instead of collapsing the objectives into one scalar
+// it grows the archive toward the whole trade-off surface; Run then
+// extracts the deduplicated non-dominated front from everything
+// evaluated.
 //
 // The population is seeded from the screened-greedy trajectory: a
 // bounded marginal-gain pass maps the terrain (its evaluations land in
@@ -39,8 +41,8 @@ type Pareto struct {
 }
 
 // NSGA-II's breeding constants: the per-child mutation probability
-// (higher than Genetic's because diversity along the front matters more
-// than convergence to a single optimum), the NSGA-II standard binary
+// (high, because diversity along the front matters more than
+// convergence to a single optimum), the NSGA-II standard binary
 // tournament, and the greedy rounds that seed the population (fewer
 // than the minimum population of 8, so the spine always fits).
 const (
@@ -276,4 +278,90 @@ func selectSurvivors(axes []Axis, pool []pind, popSize int) []pind {
 		out[i] = uniq[idx[i]]
 	}
 	return out
+}
+
+// pind is one scored population member of the NSGA-II search (and of
+// the front extraction); vec caches the objective vector over the
+// problem's front axes.
+type pind struct {
+	c   Candidate
+	s   Score
+	fp  uint64
+	vec []float64
+}
+
+// scorePop scores every member, in order, into a population.
+func scorePop(ev *Evaluator, axes []Axis, members []Candidate) ([]pind, error) {
+	out := make([]pind, len(members))
+	for i, c := range members {
+		s, err := ev.Score(c)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pind{c: c, s: s, fp: c.fingerprint(ev.rotFPs), vec: objVec(axes, s)}
+	}
+	return out, nil
+}
+
+// crossover recombines two candidates: overlays uniformly — for every
+// (node, class) decided by either parent, the child inherits one
+// parent's state, including "absent" (topology default) — and the
+// schedule from a fair-coin parent. Keys are visited in canonical order
+// so recombination is deterministic.
+func crossover(ca, cb Candidate, r *rng.Rand) Candidate {
+	a, b := ca.A, cb.A
+	child := diversity.NewAssignment()
+	ea, eb := a.Entries(), b.Entries()
+	i, j := 0, 0
+	take := func(e diversity.Entry, from *diversity.Assignment) {
+		if v, ok := from.Lookup(e.Node, e.Class); ok {
+			child.Set(e.Node, e.Class, v)
+		}
+	}
+	for i < len(ea) || j < len(eb) {
+		var e diversity.Entry
+		switch {
+		case j >= len(eb):
+			e = ea[i]
+			i++
+		case i >= len(ea):
+			e = eb[j]
+			j++
+		default:
+			switch c := cmp.Compare(ea[i].Node, eb[j].Node); {
+			case c < 0 || (c == 0 && ea[i].Class < eb[j].Class):
+				e = ea[i]
+				i++
+			case c > 0 || (c == 0 && ea[i].Class > eb[j].Class):
+				e = eb[j]
+				j++
+			default: // same (node, class) in both parents
+				e = ea[i]
+				i++
+				j++
+			}
+		}
+		if r.Bool(0.5) {
+			take(e, a)
+		} else {
+			take(e, b)
+		}
+	}
+	rot := ca.Rot
+	if r.Bool(0.5) {
+		rot = cb.Rot
+	}
+	return Candidate{A: child, Rot: rot}
+}
+
+// tournament draws k uniform indices into a population of n and returns
+// the best under less.
+func tournament(r *rng.Rand, n, k int, less func(a, b int) bool) int {
+	best := r.Intn(n)
+	for i := 1; i < k; i++ {
+		if c := r.Intn(n); less(c, best) {
+			best = c
+		}
+	}
+	return best
 }

@@ -166,7 +166,7 @@ func TestPanicIsolationSweep(t *testing.T) {
 // for every strategy. The fault-injection hook cancels after the k-th
 // replication attempt, sweeping k across the whole run.
 func TestCancelAtRandomPointsYieldsFeasibleIncumbent(t *testing.T) {
-	for si, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for si, name := range []string{"greedy", "anneal", "pareto"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ func rotatedProblem(seed uint64) Problem {
 // seed and configuration reproduce the identical trace, winner and
 // schedule for every worker count.
 func TestScheduleSearchDeterministic(t *testing.T) {
-	for _, name := range []string{"greedy", "anneal", "pareto", "portfolio"} {
+	for _, name := range []string{"greedy", "anneal", "pareto"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestScheduleBudgetFolded(t *testing.T) {
 	p := rotatedProblem(5)
 	p.Reps = 4
 	p.Iterations = 12
-	for _, name := range []string{"greedy", "anneal", "genetic"} {
+	for _, name := range []string{"greedy", "anneal"} {
 		o, _ := ByName(name)
 		res, err := Run(p, o)
 		if err != nil {

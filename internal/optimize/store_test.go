@@ -35,7 +35,7 @@ func withRotations(p Problem) Problem {
 // crash. This is the replay-based resume contract: the store is the
 // checkpoint.
 func TestStoreResumeByteIdentical(t *testing.T) {
-	for _, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for _, name := range []string{"greedy", "anneal", "pareto"} {
 		t.Run(name, func(t *testing.T) {
 			o, err := ByName(name)
 			if err != nil {
@@ -191,11 +191,11 @@ func TestStoreWarmStartAcrossBudgetTweak(t *testing.T) {
 	}
 	tweaked := testProblem(53)
 	tweaked.Budget = 18
-	cold, err := Run(testProblemLike(tweaked), o)
+	cold, err := Run(tweaked, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWith(context.Background(), testProblemLike(tweaked), o, RunOptions{StorePath: store})
+	warm, err := RunWith(context.Background(), tweaked, o, RunOptions{StorePath: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestStoreWarmStartAcrossObjectiveTweak(t *testing.T) {
 	}
 	tweaked := testProblem(55)
 	tweaked.Objective = MaximizeTTSF
-	cold, err := Run(testProblemLike(tweaked), o)
+	cold, err := Run(tweaked, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWith(context.Background(), testProblemLike(tweaked), o, RunOptions{StorePath: store})
+	warm, err := RunWith(context.Background(), tweaked, o, RunOptions{StorePath: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,10 @@ func TestInstrumentedRunsAreByteIdentical(t *testing.T) {
 
 // The telemetry report's totals must agree with the returned Result, its
 // ratios must be well-formed, and the round stream must attribute rounds
-// and wall time per strategy — including the portfolio chain reporting
-// its stages under their own names.
+// and wall time per strategy — including pareto's greedy seeding
+// reporting its rounds under greedy's name.
 func TestTelemetryReportConsistency(t *testing.T) {
-	o, err := ByName("portfolio")
+	o, err := ByName("pareto")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r == nil {
 		t.Fatal("no telemetry report")
 	}
-	if r.Strategy != "portfolio" || r.Best != res.Best.Value {
+	if r.Strategy != "pareto" || r.Best != res.Best.Value {
 		t.Fatalf("header disagrees with Result: %+v vs best %v", r, res.Best.Value)
 	}
 	if r.Evaluations != res.Evaluations || r.CacheHits != res.CacheHits || r.Replications != res.Replications {
@@ -84,8 +84,10 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r.CacheHitRatio < 0 || r.CacheHitRatio > 1 || math.Abs(r.CacheHitRatio-wantRatio) > 1e-12 {
 		t.Fatalf("cache hit ratio %v, want %v", r.CacheHitRatio, wantRatio)
 	}
-	if r.Rounds != len(res.Trace) {
-		t.Fatalf("rounds %d != trace steps %d", r.Rounds, len(res.Trace))
+	// The trace holds pareto's generations; the greedy seeding rounds
+	// reach the stream only.
+	if r.StrategyRounds["pareto"] != len(res.Trace) {
+		t.Fatalf("pareto rounds %d != trace steps %d", r.StrategyRounds["pareto"], len(res.Trace))
 	}
 	sumRounds := 0
 	for _, n := range r.StrategyRounds {
@@ -94,9 +96,9 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if sumRounds != r.Rounds {
 		t.Fatalf("per-strategy rounds sum %d != total %d (%v)", sumRounds, r.Rounds, r.StrategyRounds)
 	}
-	// The portfolio's stages report under their own names, plus the final
-	// portfolio step.
-	for _, stage := range []string{"greedy", "anneal", "genetic", "portfolio"} {
+	// The greedy seeding rounds report under greedy's name, the
+	// generations under pareto's.
+	for _, stage := range []string{"greedy", "pareto"} {
 		if r.StrategyRounds[stage] == 0 {
 			t.Errorf("no rounds attributed to stage %q: %v", stage, r.StrategyRounds)
 		}
@@ -140,21 +142,23 @@ func TestTelemetryReportConsistency(t *testing.T) {
 			simulated, replayed, res.Stats.Simulated, res.Stats.Replayed, r.SimulatedReplications, r.ReplayedReplications)
 	}
 	if replayed == 0 {
-		t.Fatal("the portfolio's greedy stage replayed nothing")
+		t.Fatal("pareto's greedy seeding replayed nothing")
 	}
 }
 
-// The trace timestamps are monotonic: elapsed time never decreases
-// across the trace, even across portfolio stage boundaries.
+// The round timestamps are monotonic: elapsed time never decreases
+// across the trace, nor across the round stream, where pareto's greedy
+// seeding rounds precede its generations.
 func TestTraceElapsedMonotonic(t *testing.T) {
-	o, err := ByName("portfolio")
+	o, err := ByName("pareto")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := testProblem(3)
 	p.Reps = 4
 	p.Iterations = 6
-	res, err := Run(p, o)
+	rec := &telemetry.Recorder{}
+	res, err := RunWith(t.Context(), p, o, RunOptions{Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +171,24 @@ func TestTraceElapsedMonotonic(t *testing.T) {
 			t.Fatalf("step %d: elapsed went backwards (%v after %v)", i, s.Elapsed, last)
 		}
 		last = s.Elapsed
+	}
+	var prev telemetry.RoundCompleted
+	boundaries := 0
+	for _, e := range rec.Events() {
+		rc, ok := e.(telemetry.RoundCompleted)
+		if !ok {
+			continue
+		}
+		if rc.Elapsed < prev.Elapsed {
+			t.Fatalf("%s round %d: elapsed went backwards (%v after %v)", rc.Strategy, rc.Round, rc.Elapsed, prev.Elapsed)
+		}
+		if prev.Strategy == "greedy" && rc.Strategy == "pareto" {
+			boundaries++
+		}
+		prev = rc
+	}
+	if boundaries != 1 {
+		t.Fatalf("%d greedy→pareto boundaries in the round stream, want 1", boundaries)
 	}
 }
 
@@ -200,7 +222,7 @@ func TestDisabledSinkCacheHitZeroAllocs(t *testing.T) {
 // /metrics scrape reads the registry — the full concurrent surface, run
 // under -race.
 func TestConcurrentSinkAndScrape(t *testing.T) {
-	o, err := ByName("genetic")
+	o, err := ByName("pareto")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +263,7 @@ func TestConcurrentSinkAndScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`diversify_rounds_total{strategy="genetic"}`,
+		`diversify_rounds_total{strategy="pareto"}`,
 		"diversify_eval_batches_total",
 		"diversify_eval_latency_seconds_count",
 		"diversify_best_value",

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// A synthetic portfolio-shaped stream: the collector must attribute
+// A synthetic two-stage stream: the collector must attribute
 // rounds and wall time per strategy, derive the ratios from the
 // authoritative RunFinished totals, and keep the registry current.
 func TestCollectorReport(t *testing.T) {

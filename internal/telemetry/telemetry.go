@@ -47,12 +47,12 @@ type RunStarted struct {
 func (RunStarted) Kind() string { return "run_started" }
 
 // RoundCompleted reports one completed search round (a greedy round, an
-// annealing proposal, a genetic/NSGA-II generation). It mirrors the
+// annealing proposal, an NSGA-II generation). It mirrors the
 // deterministic trace step, plus the monotonic elapsed time — which is
 // deliberately OUTSIDE the byte-identity surface.
 type RoundCompleted struct {
-	// Strategy names the emitting stage ("greedy", "anneal", ...); under
-	// the portfolio chain each stage reports under its own name.
+	// Strategy names the emitting stage ("greedy", "anneal", ...); the
+	// pareto search's greedy seeding rounds report as "greedy".
 	Strategy string
 	Round    int
 	Action   string
