@@ -1,7 +1,8 @@
-// Benchmark harness: one bench per reproduced experiment (E1–E12, see
-// DESIGN.md §4 and EXPERIMENTS.md) plus engine micro-benchmarks. Each
-// experiment bench regenerates its table at reduced replication counts
-// and reports the headline figures via b.ReportMetric, so
+// Benchmark harness: one bench per reproduced experiment (E1–E13, see
+// the experiments row of internal/README.md) plus engine
+// micro-benchmarks. Each experiment bench regenerates its table at
+// reduced replication counts and reports the headline figures via
+// b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

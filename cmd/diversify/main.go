@@ -1,5 +1,6 @@
 // Command diversify regenerates the paper-reproduction experiment suite
-// (E1–E12 from DESIGN.md / EXPERIMENTS.md).
+// E1–E13 (package internal/experiments; internal/README.md maps the
+// packages behind it).
 //
 // Usage:
 //
@@ -28,7 +29,7 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("diversify", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "experiment ID (E1..E12) or \"all\"")
+		experiment = fs.String("experiment", "all", "experiment ID (E1..E13) or \"all\"")
 		reps       = fs.Int("reps", 0, "replications per cell (0 = experiment default)")
 		seed       = fs.Uint64("seed", 1, "root RNG seed")
 		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")

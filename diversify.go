@@ -68,7 +68,8 @@ type (
 	Results = core.Results
 	// Assessment is the step-3 output (ANOVA tables + ranking).
 	Assessment = core.Assessment
-	// Scenario is an executable attack model.
+	// Scenario is an executable attack model: Replicate runs one design
+	// run's replications, one per stream, under the run's factor levels.
 	Scenario = core.Scenario
 	// Levels maps factor names to chosen levels.
 	Levels = core.Levels
@@ -146,12 +147,11 @@ func NewStuxnetStudy(cfg StuxnetStudyConfig) (*Study, error) {
 	}
 	topo := topology.NewTieredSCADA(topology.DefaultTieredSpec())
 	scn := &core.CampaignScenario{
-		Label:   "stuxnet-tiered-scada",
 		Topo:    topo,
 		Catalog: exploits.StuxnetCatalog(),
 		Profile: malware.StuxnetProfile(),
 		Horizon: horizon,
-		Bind:    core.BindVariantFactors(topo, classes),
+		Factors: classes,
 	}
 	return &Study{Scenario: scn, Design: design, Reps: cfg.Reps, Seed: cfg.Seed, Workers: cfg.Workers}, nil
 }

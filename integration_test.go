@@ -138,7 +138,7 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 	const horizon = 720.0
 
 	sanPSA := func(assign *diversity.Assignment) float64 {
-		outs, err := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		outs, err := des.Replicate(des.SplitStreams(3, reps), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			return cs.EvaluateSAN(assign, r, horizon)
 		})
 		if err != nil {
@@ -153,7 +153,7 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 		return float64(succ) / reps
 	}
 	campaignPSA := func(assign *diversity.Assignment) float64 {
-		outs, err := des.Replicate(reps, 0, 3, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		outs, err := des.Replicate(des.SplitStreams(3, reps), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			cfg := malware.Config{Topo: cs.Topo, Catalog: cs.Catalog,
 				Profile: malware.StuxnetProfile(), Rand: r}
 			if assign != nil {
@@ -204,7 +204,7 @@ func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 		if err := diversity.SpreadVariants(topo, assign, cat, exploits.ClassOS, k); err != nil {
 			t.Fatal(err)
 		}
-		outs, err := des.Replicate(60, 0, 17, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		outs, err := des.Replicate(des.SplitStreams(17, 60), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			c, err := malware.NewCampaign(malware.Config{
 				Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(),
 				Rand: r, Assign: assign.Func(),

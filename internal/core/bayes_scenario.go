@@ -26,7 +26,6 @@ type StageSpec struct {
 // variants, queries the exact success probability of the full chain, and
 // samples one replication outcome (success + stage-latency-sum TTA).
 type BayesStageScenario struct {
-	Label   string
 	Catalog *exploits.Catalog
 	Stages  []StageSpec
 	Horizon float64
@@ -34,8 +33,10 @@ type BayesStageScenario struct {
 
 var _ Scenario = (*BayesStageScenario)(nil)
 
-// Name returns the scenario label.
-func (s *BayesStageScenario) Name() string { return s.Label }
+// Replicate runs Evaluate once per stream.
+func (s *BayesStageScenario) Replicate(levels Levels, streams []rng.Rand, workers int) ([]indicators.Outcome, error) {
+	return FuncScenario(s.Evaluate).Replicate(levels, streams, workers)
+}
 
 // network builds the BN for one configuration and returns it with the
 // query variable and the per-stage mean latencies.

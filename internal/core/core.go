@@ -36,29 +36,23 @@ var ErrBadStudy = errors.New("core: invalid study")
 type Levels map[string]string
 
 // Scenario is an executable attack model parameterized by factor levels.
-// Implementations must be safe for concurrent Evaluate calls (each call
-// receives its own RNG stream).
 type Scenario interface {
-	// Name identifies the scenario in reports.
-	Name() string
-	// Evaluate runs one replication under the given configuration.
-	Evaluate(levels Levels, r *rng.Rand) (indicators.Outcome, error)
+	// Replicate runs one design run under levels: replication i starts
+	// from streams[i], on at most workers goroutines (<= 0 →
+	// GOMAXPROCS), and the outcomes return in replication order,
+	// identical for every worker count.
+	Replicate(levels Levels, streams []rng.Rand, workers int) ([]indicators.Outcome, error)
 }
 
-// FuncScenario adapts a closure to the Scenario interface.
-type FuncScenario struct {
-	ScenarioName string
-	Fn           func(levels Levels, r *rng.Rand) (indicators.Outcome, error)
-}
+// FuncScenario adapts a per-replication closure to the Scenario
+// interface.
+type FuncScenario func(levels Levels, r *rng.Rand) (indicators.Outcome, error)
 
-var _ Scenario = FuncScenario{}
-
-// Name returns the scenario name.
-func (f FuncScenario) Name() string { return f.ScenarioName }
-
-// Evaluate invokes the wrapped closure.
-func (f FuncScenario) Evaluate(levels Levels, r *rng.Rand) (indicators.Outcome, error) {
-	return f.Fn(levels, r)
+// Replicate runs f once per stream on des.Replicate.
+func (f FuncScenario) Replicate(levels Levels, streams []rng.Rand, workers int) ([]indicators.Outcome, error) {
+	return des.Replicate(streams, workers, func(_ int, r *rng.Rand) (indicators.Outcome, error) {
+		return f(levels, r)
+	})
 }
 
 // Indicator selects which measured quantity feeds the assessment.
@@ -91,8 +85,9 @@ type Results struct {
 	Reports  []indicators.Report    // per run, 95% level
 }
 
-// Run executes the full campaign. Replications are deterministic for a
-// given Seed regardless of Workers.
+// Run executes the full campaign: design run i replicates its levels on
+// the i-th block of Reps streams split in order from Seed. Replications
+// are deterministic for a given Seed regardless of Workers.
 func (s *Study) Run() (*Results, error) {
 	if s.Scenario == nil || s.Design == nil {
 		return nil, fmt.Errorf("%w: scenario and design are required", ErrBadStudy)
@@ -104,38 +99,25 @@ func (s *Study) Run() (*Results, error) {
 		return nil, fmt.Errorf("%w: reps = %d", ErrBadStudy, s.Reps)
 	}
 	runs := s.Design.NumRuns()
-	total := runs * s.Reps
-	levelsFor := make([]Levels, runs)
-	for i := 0; i < runs; i++ {
+	streams := des.SplitStreams(s.Seed, runs*s.Reps)
+	res := &Results{
+		Design:   s.Design,
+		Outcomes: make([][]indicators.Outcome, runs),
+		Reports:  make([]indicators.Report, runs),
+	}
+	for run := range res.Outcomes {
 		lv := Levels{}
 		for j, f := range s.Design.Factors {
-			lv[f.Name] = s.Design.Level(i, j)
+			lv[f.Name] = s.Design.Level(run, j)
 		}
-		levelsFor[i] = lv
-	}
-	flat, err := des.Replicate(total, s.Workers, s.Seed, func(idx int, r *rng.Rand) (indicators.Outcome, error) {
-		run, rep := idx/s.Reps, idx%s.Reps
-		out, err := s.Scenario.Evaluate(levelsFor[run], r)
+		outs, err := s.Scenario.Replicate(lv, streams[run*s.Reps:(run+1)*s.Reps], s.Workers)
 		if err != nil {
-			return out, fmt.Errorf("core: run %d rep %d: %w", run, rep, err)
+			return nil, fmt.Errorf("core: run %d: %w", run, err)
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Results{Design: s.Design, Outcomes: make([][]indicators.Outcome, runs)}
-	for run := range res.Outcomes {
-		lo, hi := run*s.Reps, (run+1)*s.Reps
-		res.Outcomes[run] = flat[lo:hi:hi]
-	}
-	res.Reports = make([]indicators.Report, runs)
-	for run := 0; run < runs; run++ {
-		rep, err := indicators.Summarize(res.Outcomes[run], 0.95)
-		if err != nil {
+		res.Outcomes[run] = outs
+		if res.Reports[run], err = indicators.Summarize(outs, 0.95); err != nil {
 			return nil, fmt.Errorf("core: summarizing run %d: %w", run, err)
 		}
-		res.Reports[run] = rep
 	}
 	return res, nil
 }

@@ -2,10 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"diversify/internal/anova"
+	"diversify/internal/des"
+	"diversify/internal/diversity"
 	"diversify/internal/doe"
 	"diversify/internal/exploits"
 	"diversify/internal/indicators"
@@ -17,29 +22,26 @@ import (
 // syntheticScenario is a fast analytic scenario: success probability and
 // attack time depend on the "OS" factor level.
 func syntheticScenario() Scenario {
-	return FuncScenario{
-		ScenarioName: "synthetic",
-		Fn: func(levels Levels, r *rng.Rand) (indicators.Outcome, error) {
-			pSuccess := 0.9
-			meanTTA := 10.0
-			if levels["OS"] == "hardened" {
-				pSuccess = 0.3
-				meanTTA = 40.0
-			}
-			// "FW" factor intentionally inert: ANOVA must not flag it.
-			o := indicators.Outcome{Horizon: 100}
-			if r.Bool(pSuccess) {
-				o.Success = true
-				o.TTA = math.Min(r.Exp(1/meanTTA), 100)
-				o.Compromised = []indicators.Point{{T: o.TTA, Value: 0.5}}
-			}
-			if r.Bool(0.2) {
-				o.Detected = true
-				o.TTSF = r.Exp(1.0 / 50)
-			}
-			return o, nil
-		},
-	}
+	return FuncScenario(func(levels Levels, r *rng.Rand) (indicators.Outcome, error) {
+		pSuccess := 0.9
+		meanTTA := 10.0
+		if levels["OS"] == "hardened" {
+			pSuccess = 0.3
+			meanTTA = 40.0
+		}
+		// "FW" factor intentionally inert: ANOVA must not flag it.
+		o := indicators.Outcome{Horizon: 100}
+		if r.Bool(pSuccess) {
+			o.Success = true
+			o.TTA = math.Min(r.Exp(1/meanTTA), 100)
+			o.Compromised = []indicators.Point{{T: o.TTA, Value: 0.5}}
+		}
+		if r.Bool(0.2) {
+			o.Detected = true
+			o.TTSF = r.Exp(1.0 / 50)
+		}
+		return o, nil
+	})
 }
 
 func twoFactorDesign(t *testing.T) *doe.Design {
@@ -171,29 +173,55 @@ func TestAssessValidation(t *testing.T) {
 }
 
 func TestScenarioErrorPropagates(t *testing.T) {
-	boom := FuncScenario{ScenarioName: "boom",
-		Fn: func(Levels, *rng.Rand) (indicators.Outcome, error) {
+	boom := FuncScenario(func(lv Levels, _ *rng.Rand) (indicators.Outcome, error) {
+		if lv["OS"] == "hardened" {
 			return indicators.Outcome{}, errors.New("kaboom")
-		}}
-	st := &Study{Scenario: boom, Design: twoFactorDesign(t), Reps: 2, Seed: 1}
-	if _, err := st.Run(); err == nil {
-		t.Fatal("scenario error swallowed")
+		}
+		return indicators.Outcome{Horizon: 1}, nil
+	})
+	d := twoFactorDesign(t)
+	first := 0
+	for d.Level(first, 0) != "hardened" {
+		first++
 	}
+	st := &Study{Scenario: boom, Design: d, Reps: 2, Seed: 1}
+	_, err := st.Run()
+	if want := fmt.Sprintf("core: run %d: kaboom", first); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q (the first failing design run)", err, want)
+	}
+}
+
+// freshCampaigns is the per-replication reference path: one new campaign
+// per stream under cfg.
+func freshCampaigns(t *testing.T, cfg malware.Config, horizon float64, streams []rng.Rand) []indicators.Outcome {
+	t.Helper()
+	outs := make([]indicators.Outcome, len(streams))
+	for i := range streams {
+		r := streams[i]
+		cfg.Rand = &r
+		c, err := malware.NewCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[i], err = c.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outs
 }
 
 func TestCampaignScenario(t *testing.T) {
 	topo := topology.NewTieredSCADA(topology.DefaultTieredSpec())
 	cat := exploits.StuxnetCatalog()
 	scn := &CampaignScenario{
-		Label:   "stuxnet-on-tiered",
 		Topo:    topo,
 		Catalog: cat,
 		Profile: malware.StuxnetProfile(),
 		Horizon: 720,
-		Bind: BindVariantFactors(topo, map[string]exploits.Class{
+		Factors: map[string]exploits.Class{
 			"OS":  exploits.ClassOS,
 			"PLC": exploits.ClassPLCFirmware,
-		}),
+		},
 	}
 	d, err := doe.FullFactorial([]doe.Factor{
 		{Name: "OS", Levels: []string{string(exploits.OSWinXPSP3), string(exploits.OSWin7)}},
@@ -225,29 +253,59 @@ func TestCampaignScenario(t *testing.T) {
 		t.Fatalf("soft %v < hard %v", res.Reports[softIdx].PSuccess.Point,
 			res.Reports[hardIdx].PSuccess.Point)
 	}
+	// Each design run replays the per-replication path exactly: run i's
+	// outcomes are fresh campaigns under its overlay on block i of the
+	// study's streams.
+	streams := des.SplitStreams(st.Seed, d.NumRuns()*st.Reps)
+	for run := range res.Outcomes {
+		assign := diversity.NewAssignment().
+			SetClassEverywhere(topo, exploits.ClassOS, exploits.VariantID(d.Level(run, 0))).
+			SetClassEverywhere(topo, exploits.ClassPLCFirmware, exploits.VariantID(d.Level(run, 1)))
+		cfg := malware.Config{Topo: topo, Catalog: cat, Profile: scn.Profile, Assign: assign.Func()}
+		want := freshCampaigns(t, cfg, scn.Horizon, streams[run*st.Reps:(run+1)*st.Reps])
+		if !reflect.DeepEqual(res.Outcomes[run], want) {
+			t.Fatalf("run %d differs from fresh per-replication campaigns", run)
+		}
+	}
 }
 
-func TestBindVariantFactorsErrors(t *testing.T) {
+// TestCampaignScenarioFactors checks how Replicate binds levels: a
+// factor the levels lack fails, a component class installs a class-wide
+// overlay, and the firewall class routes to the firewall override, not
+// the overlay.
+func TestCampaignScenarioFactors(t *testing.T) {
 	topo := topology.NewTieredSCADA(topology.DefaultTieredSpec())
-	bind := BindVariantFactors(topo, map[string]exploits.Class{"OS": exploits.ClassOS})
-	cfg := malware.Config{}
-	if err := bind(Levels{}, &cfg); err == nil {
-		t.Fatal("missing factor accepted")
+	cat := exploits.StuxnetCatalog()
+	scn := &CampaignScenario{Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(), Horizon: 240,
+		Factors: map[string]exploits.Class{"OS": exploits.ClassOS}}
+	streams := des.SplitStreams(4, 6)
+	if _, err := scn.Replicate(Levels{}, streams, 2); err == nil || !strings.Contains(err.Error(), `no factor "OS"`) {
+		t.Fatalf("missing factor: err = %v", err)
 	}
-	if err := bind(Levels{"OS": string(exploits.OSWin7)}, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Assign == nil {
-		t.Fatal("assignment not installed")
-	}
-	// Firewall class routes to the override, not the overlay.
-	bindFW := BindVariantFactors(topo, map[string]exploits.Class{"FW": exploits.ClassFirewall})
-	cfg = malware.Config{}
-	if err := bindFW(Levels{"FW": string(exploits.FWDPI)}, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.FirewallVariant != exploits.FWDPI || cfg.Assign != nil {
-		t.Fatalf("firewall binding wrong: %+v", cfg)
+	cfg := malware.Config{Topo: topo, Catalog: cat, Profile: scn.Profile}
+	for _, tc := range []struct {
+		name    string
+		factors map[string]exploits.Class
+		levels  Levels
+		cfg     func(malware.Config) malware.Config
+	}{
+		{"none", nil, Levels{}, func(c malware.Config) malware.Config { return c }},
+		{"os", map[string]exploits.Class{"OS": exploits.ClassOS}, Levels{"OS": string(exploits.OSWin7)},
+			func(c malware.Config) malware.Config {
+				c.Assign = diversity.NewAssignment().SetClassEverywhere(topo, exploits.ClassOS, exploits.OSWin7).Func()
+				return c
+			}},
+		{"firewall", map[string]exploits.Class{"FW": exploits.ClassFirewall}, Levels{"FW": string(exploits.FWDiode)},
+			func(c malware.Config) malware.Config { c.FirewallVariant = exploits.FWDiode; return c }},
+	} {
+		scn.Factors = tc.factors
+		got, err := scn.Replicate(tc.levels, streams, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := freshCampaigns(t, tc.cfg(cfg), scn.Horizon, streams); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Replicate differs from fresh campaigns under the bound config", tc.name)
+		}
 	}
 }
 
@@ -270,7 +328,6 @@ func BenchmarkStudySynthetic(b *testing.B) {
 func TestBayesStageScenarioAnalytic(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
 	scn := &BayesStageScenario{
-		Label:   "bn-chain",
 		Catalog: cat,
 		Horizon: 1e9,
 		Stages: []StageSpec{
@@ -304,14 +361,13 @@ func TestBayesStageScenarioAnalytic(t *testing.T) {
 		t.Fatalf("BN chain P = %v, analytic product %v", got, want)
 	}
 	// Monte-Carlo agreement through the Scenario interface.
-	succ := 0
 	const reps = 20000
-	r := rng.New(5)
-	for i := 0; i < reps; i++ {
-		out, err := scn.Evaluate(levels, r)
-		if err != nil {
-			t.Fatal(err)
-		}
+	outs, err := scn.Replicate(levels, des.SplitStreams(5, reps), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ := 0
+	for _, out := range outs {
 		if out.Success {
 			succ++
 		}
@@ -325,7 +381,6 @@ func TestBayesStageScenarioAnalytic(t *testing.T) {
 func TestBayesStageScenarioInStudy(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
 	scn := &BayesStageScenario{
-		Label:   "bn-study",
 		Catalog: cat,
 		Horizon: 1e6,
 		Stages: []StageSpec{
@@ -352,16 +407,17 @@ func TestBayesStageScenarioInStudy(t *testing.T) {
 
 func TestBayesStageScenarioErrors(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
-	empty := &BayesStageScenario{Label: "x", Catalog: cat, Horizon: 10}
-	if _, err := empty.Evaluate(Levels{}, rng.New(1)); !errors.Is(err, ErrBadStudy) {
+	streams := des.SplitStreams(1, 2)
+	empty := &BayesStageScenario{Catalog: cat, Horizon: 10}
+	if _, err := empty.Replicate(Levels{}, streams, 1); !errors.Is(err, ErrBadStudy) {
 		t.Fatal("empty stage list accepted")
 	}
-	scn := &BayesStageScenario{Label: "x", Catalog: cat, Horizon: 10,
+	scn := &BayesStageScenario{Catalog: cat, Horizon: 10,
 		Stages: []StageSpec{{Name: "s", Factor: "OS", Stage: exploits.StageActivation, Vector: exploits.VectorUSB}}}
-	if _, err := scn.Evaluate(Levels{}, rng.New(1)); !errors.Is(err, ErrBadStudy) {
+	if _, err := scn.Replicate(Levels{}, streams, 1); !errors.Is(err, ErrBadStudy) {
 		t.Fatal("missing factor accepted")
 	}
-	if _, err := scn.Evaluate(Levels{"OS": "no-such-variant"}, rng.New(1)); err == nil {
+	if _, err := scn.Replicate(Levels{"OS": "no-such-variant"}, streams, 1); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"diversify/internal/diversity"
@@ -12,72 +13,49 @@ import (
 )
 
 // CampaignScenario runs a malware campaign on a topology, with DoE factor
-// levels bound to component variants through Bind. The topology and
+// levels bound to component variants through Factors. The topology and
 // catalog are shared read-only across replications.
 type CampaignScenario struct {
-	Label   string
 	Topo    *topology.Topology
 	Catalog *exploits.Catalog
 	Profile malware.Profile
 	Horizon float64
-	// Bind interprets the factor levels into campaign configuration
-	// (assignment overlay, firewall override). A nil Bind runs the
-	// topology defaults.
-	Bind func(levels Levels, cfg *malware.Config) error
+	// Factors maps a design factor to the component class its level (a
+	// variant ID) is installed on, class-wide. The class
+	// exploits.ClassFirewall sets the campaign's firewall override
+	// instead (firewalls live on links). Nil runs the topology defaults.
+	Factors map[string]exploits.Class
 }
 
 var _ Scenario = (*CampaignScenario)(nil)
 
-// Name returns the scenario label.
-func (s *CampaignScenario) Name() string { return s.Label }
-
-// Evaluate executes one campaign replication.
-func (s *CampaignScenario) Evaluate(levels Levels, r *rng.Rand) (indicators.Outcome, error) {
-	cfg := malware.Config{
-		Topo:    s.Topo,
-		Catalog: s.Catalog,
-		Profile: s.Profile,
-		Rand:    r,
-	}
-	if s.Bind != nil {
-		if err := s.Bind(levels, &cfg); err != nil {
-			return indicators.Outcome{}, fmt.Errorf("core: binding levels %v: %w", levels, err)
+// Replicate binds levels once (assignment overlay, firewall override)
+// and runs the design run on a malware.Runner: one reusable campaign per
+// worker, Reset for every replication.
+func (s *CampaignScenario) Replicate(levels Levels, streams []rng.Rand, workers int) ([]indicators.Outcome, error) {
+	cfg := malware.Config{Topo: s.Topo, Catalog: s.Catalog, Profile: s.Profile}
+	assign := diversity.NewAssignment()
+	for factor, class := range s.Factors {
+		level, ok := levels[factor]
+		if !ok {
+			return nil, fmt.Errorf("core: design has no factor %q", factor)
 		}
+		variant := exploits.VariantID(level)
+		if class == exploits.ClassFirewall {
+			cfg.FirewallVariant = variant
+			continue
+		}
+		assign.SetClassEverywhere(s.Topo, class, variant)
 	}
-	c, err := malware.NewCampaign(cfg)
+	run, err := malware.NewRunner(cfg, s.Horizon, streams, workers)
 	if err != nil {
-		return indicators.Outcome{}, err
+		return nil, err
 	}
-	return c.Run(s.Horizon)
-}
-
-// BindVariantFactors returns a Bind function for the common case where
-// every factor level names a variant ID applied class-wide:
-//
-//	classes: factor name → component class.
-//
-// The special class exploits.ClassFirewall sets the campaign's firewall
-// override instead of a node assignment (firewalls live on links).
-func BindVariantFactors(topo *topology.Topology, classes map[string]exploits.Class) func(Levels, *malware.Config) error {
-	return func(levels Levels, cfg *malware.Config) error {
-		assign := diversity.NewAssignment()
-		touched := false
-		for factor, class := range classes {
-			level, ok := levels[factor]
-			if !ok {
-				return fmt.Errorf("core: design has no factor %q", factor)
-			}
-			variant := exploits.VariantID(level)
-			if class == exploits.ClassFirewall {
-				cfg.FirewallVariant = variant
-				continue
-			}
-			assign.SetClassEverywhere(topo, class, variant)
-			touched = true
-		}
-		if touched {
-			cfg.Assign = assign.Func()
-		}
-		return nil
+	outs := make([]indicators.Outcome, len(streams))
+	// The outcomes outlive the worker's next Reset, so each one detaches
+	// its timeline from the campaign.
+	if _, err := run.Run(context.Background(), malware.Job{Assign: assign.Func()}, func(i int, out indicators.Outcome) { outs[i] = out.Clone() }); err != nil {
+		return nil, err
 	}
+	return outs, nil
 }

@@ -193,7 +193,7 @@ func TestManyEventsThroughput(t *testing.T) {
 // replicate runs Replicate and fails the test on an error.
 func replicate[T any](t *testing.T, n, workers int, seed uint64, body func(rep int, r *rng.Rand) (T, error)) []T {
 	t.Helper()
-	out, err := Replicate(n, workers, seed, body)
+	out, err := Replicate(SplitStreams(seed, n), workers, body)
 	if err != nil {
 		t.Fatal(err)
 	}

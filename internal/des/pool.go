@@ -39,11 +39,12 @@ func (e *PanicError) Error() string {
 }
 
 // Pool is the one Monte-Carlo fan-out of the framework: it runs one
-// body call per replication stream across a fixed set of worker
-// goroutines. Workers claim contiguous index batches from a shared
-// cursor, and replication i always starts from a pristine copy of
-// stream i and writes only its own slot, so results are identical for
-// every worker count and batch size.
+// body call per replication stream across a fixed set of workers (the
+// calling goroutine is worker 0; each further worker is a goroutine).
+// Workers claim contiguous index batches from a shared cursor, and
+// replication i always starts from a pristine copy of stream i and
+// writes only its own slot, so results are identical for every worker
+// count and batch size.
 type Pool struct {
 	streams []rng.Rand
 	workers int
@@ -85,35 +86,41 @@ func (p *Pool) Run(ctx context.Context, reps []int, body func(w, i int, r *rng.R
 		retries, rep int
 		err          error
 	}
-	ws := make([]outcome, min(p.workers, n))
+	ws := make([]outcome, max(min(p.workers, n), 1))
 	var stop atomic.Bool
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(len(ws))
-	for w := range ws {
-		go func(w int) {
-			defer wg.Done()
-			r := new(rng.Rand)
-			for !stop.Load() && ctx.Err() == nil {
-				hi := int(cursor.Add(int64(batch)))
-				lo := hi - batch
-				if lo >= n {
+	work := func(w int) {
+		r := new(rng.Rand)
+		for !stop.Load() && ctx.Err() == nil {
+			hi := int(cursor.Add(int64(batch)))
+			lo := hi - batch
+			if lo >= n {
+				return
+			}
+			for j := lo; j < min(hi, n); j++ {
+				i := j
+				if reps != nil {
+					i = reps[j]
+				}
+				if err := p.runRep(w, i, r, body, onPanic, &ws[w].retries); err != nil {
+					ws[w].rep, ws[w].err = i, err
+					stop.Store(true)
 					return
 				}
-				for j := lo; j < min(hi, n); j++ {
-					i := j
-					if reps != nil {
-						i = reps[j]
-					}
-					if err := p.runRep(w, i, r, body, onPanic, &ws[w].retries); err != nil {
-						ws[w].rep, ws[w].err = i, err
-						stop.Store(true)
-						return
-					}
-				}
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(ws) - 1)
+	for w := 1; w < len(ws); w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
 		}(w)
 	}
+	// The calling goroutine is worker 0, so a one-worker Run starts no
+	// goroutine at all.
+	work(0)
 	wg.Wait()
 	first := outcome{rep: len(p.streams)}
 	for _, o := range ws {
@@ -162,19 +169,21 @@ func recovered(w, i int, r *rng.Rand, body func(w, i int, r *rng.Rand) error) (c
 	return nil, body(w, i, r)
 }
 
-// Replicate runs n independent replications of body on a Pool with the
-// given worker count (workers <= 0 selects GOMAXPROCS). Replication i
-// receives stream i split in order from a root seeded with seed, so the
-// output slice is identical regardless of the worker count. Results are
-// returned in replication order. If a replication fails — body returns
-// an error, or panics on every attempt — Replicate returns no results
-// and the error (or *PanicError) of the lowest failing replication.
-func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) (T, error)) ([]T, error) {
-	if n <= 0 {
+// Replicate runs one replication of body per stream on a Pool with at
+// most workers workers (workers <= 0 selects GOMAXPROCS). body keeps no
+// per-worker state, so Replicate never runs more workers than
+// GOMAXPROCS: more would add goroutines, not parallelism. Replication i
+// starts from a pristine copy of streams[i], so the output slice is
+// identical regardless of the worker count. Results are returned in
+// replication order. If a replication fails — body returns an error, or
+// panics on every attempt — Replicate returns no results and the error
+// (or *PanicError) of the lowest failing replication.
+func Replicate[T any](streams []rng.Rand, workers int, body func(rep int, r *rng.Rand) (T, error)) ([]T, error) {
+	if len(streams) == 0 {
 		return nil, nil
 	}
-	out := make([]T, n)
-	_, err := NewPool(SplitStreams(seed, n), workers).Run(context.Background(), nil, func(_, i int, r *rng.Rand) error {
+	out := make([]T, len(streams))
+	_, err := NewPool(streams, min(workers, runtime.GOMAXPROCS(0))).Run(context.Background(), nil, func(_, i int, r *rng.Rand) error {
 		var err error
 		out[i], err = body(i, r)
 		return err
@@ -186,8 +195,8 @@ func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Ran
 }
 
 // SplitStreams derives n replication streams by splitting them in order
-// from a root seeded with seed — the derivation Replicate and
-// malware.Evaluate share.
+// from a root seeded with seed — the derivation Replicate's callers,
+// malware.Evaluate and core.Study share.
 func SplitStreams(seed uint64, n int) []rng.Rand {
 	root := rng.New(seed)
 	streams := make([]rng.Rand, n)

@@ -218,7 +218,7 @@ func TestPoolReportsPanickingWorker(t *testing.T) {
 // of that replication, in the caller's goroutine, instead of crashing
 // from a worker.
 func TestReplicateReturnsPanicError(t *testing.T) {
-	out, err := Replicate(4, 2, 1, func(rep int, _ *rng.Rand) (int, error) {
+	out, err := Replicate(SplitStreams(1, 4), 2, func(rep int, _ *rng.Rand) (int, error) {
 		if rep == 2 {
 			panic("broken body")
 		}
@@ -234,7 +234,7 @@ func TestReplicateReturnsPanicError(t *testing.T) {
 // every worker count, and no results.
 func TestReplicateReturnsLowestError(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		out, err := Replicate(40, workers, 1, func(rep int, _ *rng.Rand) (int, error) {
+		out, err := Replicate(SplitStreams(1, 40), workers, func(rep int, _ *rng.Rand) (int, error) {
 			if rep == 11 || rep == 29 {
 				return 0, fmt.Errorf("rep %d failed", rep)
 			}

@@ -81,9 +81,7 @@ const syncEvery = 32
 
 // Store is an open durable evaluation store. Safe for concurrent use.
 type Store struct {
-	mu sync.Mutex
-	// path is set once in Open and immutable after, so it needs no lock.
-	path      string
+	mu        sync.Mutex
 	f         *os.File             //diversify:guardedby mu
 	mem       map[Key]Measurements //diversify:guardedby mu
 	quar      map[Key]bool         //diversify:guardedby mu
@@ -101,7 +99,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{f: f, path: path, mem: map[Key]Measurements{}, quar: map[Key]bool{}}
+	st := &Store{f: f, mem: map[Key]Measurements{}, quar: map[Key]bool{}}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -258,9 +256,6 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.mem) + len(s.quar)
 }
-
-// Path reports the file path the store was opened at.
-func (s *Store) Path() string { return s.path }
 
 // Recovered reports how many trailing bytes Open truncated away as a
 // torn or corrupt tail (0 for a clean file).

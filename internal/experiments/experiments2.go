@@ -115,14 +115,13 @@ func E6AnovaAllocation(o Opts) (*Result, error) {
 		return nil, err
 	}
 	scn := &core.CampaignScenario{
-		Label: "anova-allocation", Topo: topo, Catalog: cat,
-		Profile: malware.StuxnetProfile(), Horizon: 360,
-		Bind: core.BindVariantFactors(topo, map[string]exploits.Class{
+		Topo: topo, Catalog: cat, Profile: malware.StuxnetProfile(), Horizon: 360,
+		Factors: map[string]exploits.Class{
 			"OS":       exploits.ClassOS,
 			"PLC":      exploits.ClassPLCFirmware,
 			"Protocol": exploits.ClassProtocol,
 			"Firewall": exploits.ClassFirewall,
-		}),
+		},
 	}
 	study := &core.Study{Scenario: scn, Design: design, Reps: o.reps(20), Seed: o.Seed, Workers: o.Workers}
 	results, err := study.Run()
@@ -230,7 +229,7 @@ func E9PipelineEndToEnd(o Opts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scenario := core.FuncScenario{ScenarioName: "synthetic", Fn: func(levels core.Levels, r *rng.Rand) (indicators.Outcome, error) {
+	scenario := core.FuncScenario(func(levels core.Levels, r *rng.Rand) (indicators.Outcome, error) {
 		p := 0.85
 		if levels["OS"] == "hard" {
 			p = 0.25
@@ -241,7 +240,7 @@ func E9PipelineEndToEnd(o Opts) (*Result, error) {
 			out.TTA = math.Min(r.Exp(1.0/20), 100)
 		}
 		return out, nil
-	}}
+	})
 	mk := func(workers int) (*core.Results, error) {
 		st := &core.Study{Scenario: scenario, Design: design, Reps: o.reps(60), Seed: o.Seed, Workers: workers}
 		return st.Run()

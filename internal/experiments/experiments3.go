@@ -13,7 +13,7 @@ import (
 )
 
 // E11Sensitivity checks that the repository's conclusions survive its two
-// main modeling choices (DESIGN.md §5):
+// main modeling choices:
 //
 //	Part A — calibration sensitivity: the E7 headline (strategic k=2
 //	  placement collapses PSA) is re-measured with every exploit
@@ -86,7 +86,7 @@ func E11Sensitivity(o Opts) (*Result, error) {
 // guarded stage with the given delay distribution completes within a
 // 10-unit horizon while a 0.9-period heartbeat churns the marking.
 func sanStageCompletionRate(resample bool, dist rng.Dist, reps int, seed uint64) (float64, error) {
-	outs, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+	outs, err := des.Replicate(des.SplitStreams(seed, reps), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 		m := san.NewModel()
 		ready := m.Place("ready", 1)
 		done := m.Place("done", 0)
@@ -127,7 +127,6 @@ func E12BayesFormalism(o Opts) (*Result, error) {
 	reps := o.reps(4000)
 	cs := scope.NewCaseStudy()
 	scn := &core.BayesStageScenario{
-		Label:   "bn-xcheck",
 		Catalog: cs.Catalog,
 		Horizon: 1e9,
 		Stages: []core.StageSpec{

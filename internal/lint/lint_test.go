@@ -183,13 +183,7 @@ func TestDirectiveHygiene(t *testing.T) {
 // must be silent, and the audited nondeterminism allowlist must stay at
 // most three sites.
 func TestRepoIsClean(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go tool unavailable: %v", err)
-	}
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := repoPackages(t)
 	if diags := Check(pkgs, Analyzers()); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("repo not lint-clean: %s", d)

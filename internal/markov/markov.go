@@ -39,9 +39,6 @@ func (c *Chain) State(name string) StateID {
 	return StateID(len(c.names) - 1)
 }
 
-// Name returns the state's declared name.
-func (c *Chain) Name(s StateID) string { return c.names[s] }
-
 // Len returns the number of states.
 func (c *Chain) Len() int { return len(c.names) }
 

@@ -82,7 +82,7 @@ func (*Anneal) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Ran
 		}
 		step.Best = best
 		trace = append(trace, step)
-		ev.noteRound("anneal", &trace[len(trace)-1], 0)
+		ev.noteRound("anneal", false, &trace[len(trace)-1], 0)
 		temp *= alpha
 	}
 	return trace, nil

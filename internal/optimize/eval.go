@@ -591,14 +591,15 @@ func (e *Evaluator) bestFeasible() (Score, Candidate, uint64) {
 // and a store-resumed run's trace should say where the time went); the
 // RoundCompleted event fires only when a sink is attached. Strategies
 // call this right after appending the step, so `step` points into the
-// live trace.
-func (e *Evaluator) noteRound(strategy string, step *TraceStep, frontSize int) {
+// live trace; a seeding pass's step never reaches the run's trace.
+func (e *Evaluator) noteRound(strategy string, seeding bool, step *TraceStep, frontSize int) {
 	step.Elapsed = sinceWall(e.started)
 	if e.sink == nil {
 		return
 	}
 	e.sink.Emit(telemetry.RoundCompleted{
 		Strategy:    strategy,
+		Seeding:     seeding,
 		Round:       step.Iter,
 		Action:      step.Action,
 		Value:       step.Value,

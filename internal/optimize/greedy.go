@@ -28,7 +28,7 @@ func (*Greedy) Name() string { return "greedy" }
 //
 //diversify:det-root seeded search entry point: same seed, same trace
 func (*Greedy) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.Rand) ([]TraceStep, error) {
-	trace, _, err := greedySearch(ctx, p, ev, p.Iterations)
+	trace, _, err := greedySearch(ctx, p, ev, p.Iterations, false)
 	return trace, err
 }
 
@@ -36,8 +36,9 @@ func (*Greedy) Search(ctx context.Context, p *Problem, ev *Evaluator, _ *rng.Ran
 // incumbent candidate after every accepted round — the trajectory the
 // NSGA-II strategy seeds its population from. Cancellation stops the
 // loop at the next round (or evaluation) boundary, returning the rounds
-// accepted so far together with the context error.
-func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int) ([]TraceStep, []Candidate, error) {
+// accepted so far together with the context error. seeding marks the
+// rounds in the event stream as another strategy's seeding pass.
+func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int, seeding bool) ([]TraceStep, []Candidate, error) {
 	current := p.baseCand()
 	cur, err := ev.Score(current)
 	if err != nil {
@@ -125,7 +126,7 @@ func greedySearch(ctx context.Context, p *Problem, ev *Evaluator, maxRounds int)
 			Best:     cur.Value,
 			Accepted: true,
 		})
-		ev.noteRound("greedy", &trace[len(trace)-1], 0)
+		ev.noteRound("greedy", seeding, &trace[len(trace)-1], 0)
 	}
 	return trace, incumbents, nil
 }

@@ -78,7 +78,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		if clamp := 4 * popSize; seedP.ScreenTop <= 0 || seedP.ScreenTop > clamp {
 			seedP.ScreenTop = clamp
 		}
-		_, incumbents, err := greedySearch(ctx, &seedP, ev, paretoSeedRounds)
+		_, incumbents, err := greedySearch(ctx, &seedP, ev, paretoSeedRounds, true)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		rank, crowd := rankAndCrowd(p.Axes, pop)
 		step, front := paretoTraceStep(gen, pop, rank)
 		trace = append(trace, step)
-		ev.noteRound("pareto", &trace[len(trace)-1], front)
+		ev.noteRound("pareto", false, &trace[len(trace)-1], front)
 		better := func(a, b int) bool { return pindLess(rank, crowd, pop, a, b) }
 		pick := func() Candidate { return pop[tournament(r, len(pop), paretoTournament, better)].c }
 		// Offspring generation, then (mu+lambda) environmental selection
@@ -111,7 +111,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 	rank, _ := rankAndCrowd(p.Axes, pop)
 	step, front := paretoTraceStep(gens, pop, rank)
 	trace = append(trace, step)
-	ev.noteRound("pareto", &trace[len(trace)-1], front)
+	ev.noteRound("pareto", false, &trace[len(trace)-1], front)
 	return trace, nil
 }
 

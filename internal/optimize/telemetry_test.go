@@ -84,17 +84,10 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r.CacheHitRatio < 0 || r.CacheHitRatio > 1 || math.Abs(r.CacheHitRatio-wantRatio) > 1e-12 {
 		t.Fatalf("cache hit ratio %v, want %v", r.CacheHitRatio, wantRatio)
 	}
-	// The trace holds pareto's generations; the greedy seeding rounds
-	// reach the stream only.
-	if r.StrategyRounds["pareto"] != len(res.Trace) {
-		t.Fatalf("pareto rounds %d != trace steps %d", r.StrategyRounds["pareto"], len(res.Trace))
-	}
-	sumRounds := 0
-	for _, n := range r.StrategyRounds {
-		sumRounds += n
-	}
-	if sumRounds != r.Rounds {
-		t.Fatalf("per-strategy rounds sum %d != total %d (%v)", sumRounds, r.Rounds, r.StrategyRounds)
+	// The trace holds pareto's generations, and Rounds counts them; the
+	// greedy seeding rounds reach the per-stage accounting only.
+	if r.Rounds != len(res.Trace) || r.StrategyRounds["pareto"] != len(res.Trace) {
+		t.Fatalf("rounds %d, pareto rounds %d, trace steps %d", r.Rounds, r.StrategyRounds["pareto"], len(res.Trace))
 	}
 	// The greedy seeding rounds report under greedy's name, the
 	// generations under pareto's.
@@ -143,6 +136,16 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("pareto's greedy seeding replayed nothing")
+	}
+	// Every strategy reports one round per trace step.
+	for _, o := range strategies(t) {
+		res, err := RunWith(t.Context(), p, o, RunOptions{Sink: &telemetry.Recorder{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.Telemetry; r.Rounds != len(res.Trace) || r.StrategyRounds[o.Name()] != len(res.Trace) {
+			t.Errorf("%s: rounds %d, own rounds %d, trace steps %d", o.Name(), r.Rounds, r.StrategyRounds[o.Name()], len(res.Trace))
+		}
 	}
 }
 

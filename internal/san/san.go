@@ -95,9 +95,6 @@ type Activity struct {
 	id    int
 }
 
-// Name returns the activity's name.
-func (a *Activity) Name() string { return a.name }
-
 // SetResample makes the activity resample its firing time on every marking
 // change while enabled (instead of only when disabled). Used for semantics
 // ablation.

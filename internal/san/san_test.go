@@ -468,7 +468,7 @@ func BenchmarkSANRing(b *testing.B) {
 }
 
 // TestResampleStarvation pins down the semantics difference the
-// reactivation ablation (DESIGN.md §5, experiment E11) exploits: with
+// reactivation ablation (experiment E11) exploits: with
 // default keep-timer semantics a deterministic activity completes on
 // schedule even while unrelated activities churn the marking; with
 // resample-on-any-change semantics the churn perpetually restarts its

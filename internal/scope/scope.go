@@ -525,7 +525,7 @@ func (cs *CaseStudy) OptimizePlacement(budget, nodeCost, plcCost float64,
 		}
 	}
 	metric := func(a *diversity.Assignment) (float64, error) {
-		outs, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		outs, err := des.Replicate(des.SplitStreams(seed, reps), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			return cs.EvaluateSAN(a, r, horizon)
 		})
 		if err != nil {
@@ -553,7 +553,7 @@ func (cs *CaseStudy) PlacementExperiment(resilientCounts []int, strategies []Str
 	var cells []PlacementCell
 	for _, k := range resilientCounts {
 		for _, strat := range strategies {
-			outs, err := des.Replicate(reps, 0, seed^uint64(k*31+int(strat)), func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			outs, err := des.Replicate(des.SplitStreams(seed^uint64(k*31+int(strat)), reps), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 				assign, err := cs.PlacementAssignment(k, strat, r)
 				if err != nil {
 					return indicators.Outcome{}, err

@@ -35,7 +35,7 @@ func TestCoolingTopologyShape(t *testing.T) {
 
 func TestEvaluateSANBaseline(t *testing.T) {
 	cs := NewCaseStudy()
-	outs, err := des.Replicate(80, 0, 1, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+	outs, err := des.Replicate(des.SplitStreams(1, 80), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 		return cs.EvaluateSAN(nil, r, 720)
 	})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestEvaluateSANHorizonValidation(t *testing.T) {
 func TestHardeningLowersPSA(t *testing.T) {
 	cs := NewCaseStudy()
 	run := func(assign *diversity.Assignment) float64 {
-		outs, err := des.Replicate(80, 0, 7, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		outs, err := des.Replicate(des.SplitStreams(7, 80), 0, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 			return cs.EvaluateSAN(assign, r, 720)
 		})
 		if err != nil {

@@ -42,7 +42,10 @@ type Report struct {
 	// (zero unless TraceSample was set).
 	Explanations int `json:"explanations,omitempty"`
 
-	// Search-shape accounting from the round stream.
+	// Search-shape accounting from the round stream. Rounds counts the
+	// run strategy's rounds, one per trace step; StrategyRounds and
+	// StrategyWallSeconds bill every round, seeding passes included, to
+	// the stage that ran it.
 	Rounds              int                `json:"rounds"`
 	StrategyRounds      map[string]int     `json:"strategy_rounds,omitempty"`
 	StrategyWallSeconds map[string]float64 `json:"strategy_wall_seconds,omitempty"`
@@ -93,7 +96,9 @@ func (c *Collector) Emit(e Event) {
 			c.reg.Gauge("diversify_run_options", "placement options in the search space").Set(float64(ev.Options))
 		}
 	case RoundCompleted:
-		c.report.Rounds++
+		if !ev.Seeding {
+			c.report.Rounds++
+		}
 		c.report.StrategyRounds[ev.Strategy]++
 		// Per-strategy wall time: the delta between consecutive round
 		// timestamps is billed to the strategy that finished the round.

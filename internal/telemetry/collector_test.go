@@ -90,6 +90,22 @@ func TestCollectorReport(t *testing.T) {
 	}
 }
 
+// A seeding pass's rounds are billed to their stage but stay out of
+// Rounds, which counts the run strategy's trace steps.
+func TestCollectorSeedingRounds(t *testing.T) {
+	c := NewCollector(nil)
+	c.Emit(RunStarted{Strategy: "pareto"})
+	c.Emit(RoundCompleted{Strategy: "greedy", Seeding: true, Elapsed: 100 * time.Millisecond})
+	c.Emit(RoundCompleted{Strategy: "pareto", Round: 0, Elapsed: 300 * time.Millisecond})
+	r := c.Report()
+	if r.Rounds != 1 || r.StrategyRounds["greedy"] != 1 || r.StrategyRounds["pareto"] != 1 {
+		t.Fatalf("rounds=%d per-stage=%v, want 1 and greedy 1, pareto 1", r.Rounds, r.StrategyRounds)
+	}
+	if got := r.StrategyWallSeconds["greedy"]; math.Abs(got-0.1) > 1e-9 {
+		t.Fatalf("seeding wall = %v, want 0.1", got)
+	}
+}
+
 // A mid-run snapshot must be internally consistent and must not be
 // mutated by events that arrive after it was taken.
 func TestCollectorMidRunSnapshot(t *testing.T) {

@@ -47,15 +47,20 @@ type RunStarted struct {
 func (RunStarted) Kind() string { return "run_started" }
 
 // RoundCompleted reports one completed search round (a greedy round, an
-// annealing proposal, an NSGA-II generation). It mirrors the
-// deterministic trace step, plus the monotonic elapsed time — which is
-// deliberately OUTSIDE the byte-identity surface.
+// annealing proposal, an NSGA-II generation). A round of the run's
+// strategy mirrors one step of the result's trace; a seeding round
+// mirrors a step the seeding pass discards. Both carry the monotonic
+// elapsed time — which is deliberately OUTSIDE the byte-identity surface.
 type RoundCompleted struct {
 	// Strategy names the emitting stage ("greedy", "anneal", ...); the
 	// pareto search's greedy seeding rounds report as "greedy".
 	Strategy string
-	Round    int
-	Action   string
+	// Seeding marks a round of a seeding pass (pareto's greedy
+	// trajectory): the report bills it to its stage but does not count it
+	// in Report.Rounds.
+	Seeding bool
+	Round   int
+	Action  string
 	// Value/Cost score the round's candidate; Incumbent is the best
 	// objective value seen so far; Accepted mirrors the trace.
 	Value     float64
