@@ -97,7 +97,7 @@ func main() {
 	rotated := problem
 	rotated.Rotations = []rotation.Spec{
 		{Kind: rotation.Triggered, Period: 48},
-		{Kind: rotation.Adaptive, Period: 24, Batch: 2, Downtime: 2},
+		{Kind: rotation.Adaptive, Period: 24, Batch: 2},
 	}
 	t0 = time.Now()
 	moving, err := optimize.Run(rotated, &optimize.Greedy{})

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"diversify/internal/attacktree"
 	"diversify/internal/des"
@@ -249,11 +248,10 @@ func simulateMadanSAN(vuln, attack, fail, detect, recover float64, reps int, see
 	}
 	times, err := des.Replicate(des.SplitStreams(seed, reps), 0, func(rep int, r *rng.Rand) (float64, error) {
 		model, failed, _ := build()
-		sim, release, err := newSANSim(model, r)
+		sim, err := san.NewSim(model, r)
 		if err != nil {
 			return 0, err
 		}
-		defer release()
 		ok, at, err := sim.RunUntil(1e6, func(mk san.Marking) bool { return mk.Tokens(failed) > 0 })
 		if err != nil {
 			return 0, err
@@ -343,24 +341,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// sanMarkingPool recycles scratch markings across the suite's parallel
-// SAN replications (E3, E11); contents are fully overwritten per
-// replication, so pooling cannot affect the seeded tables.
-var sanMarkingPool = sync.Pool{New: func() any { return new(san.Marking) }}
-
-// newSANSim builds a replication Sim on a pooled scratch marking and
-// returns a release hook to call once the Sim is done with it.
-func newSANSim(model *san.Model, r *rng.Rand) (*san.Sim, func(), error) {
-	scratch := sanMarkingPool.Get().(*san.Marking)
-	sim, err := san.NewSimReusing(model, r, *scratch)
-	if err != nil {
-		sanMarkingPool.Put(scratch)
-		return nil, nil, err
-	}
-	return sim, func() {
-		*scratch = sim.Marking()
-		sanMarkingPool.Put(scratch)
-	}, nil
 }

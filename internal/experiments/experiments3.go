@@ -94,11 +94,10 @@ func sanStageCompletionRate(resample bool, dist rng.Dist, reps int, seed uint64)
 		stage := m.TimedActivity("stage", dist).Input(ready, 1).Output(done, 1)
 		stage.SetResample(resample)
 		m.TimedActivity("beat", rng.Deterministic{Value: 0.9}).Input(beat, 1).Output(beat, 1)
-		s, release, err := newSANSim(m, r)
+		s, err := san.NewSim(m, r)
 		if err != nil {
 			return indicators.Outcome{}, err
 		}
-		defer release()
 		ok, at, err := s.RunUntil(10, func(mk san.Marking) bool { return mk.Tokens(done) > 0 })
 		if err != nil {
 			return indicators.Outcome{}, err

@@ -170,7 +170,7 @@ func newEvaluator(p *Problem) (*Evaluator, error) {
 	}
 	// Fail fast on an unusable campaign template.
 	runner, err := malware.NewRunner(malware.Config{
-		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile,
 	}, p.Horizon, streams, p.Workers)
 	if err != nil {
 		return nil, err

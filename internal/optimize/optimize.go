@@ -221,8 +221,6 @@ type Problem struct {
 	// Population is the pareto (NSGA-II) population size (0 = default
 	// 16).
 	Population int
-	// FirewallVariant optionally overrides every firewalled link.
-	FirewallVariant exploits.VariantID
 	// TraceSample, when positive, captures causal attack traces for this
 	// fraction of replications (deterministically sampled per Seed) while
 	// replaying the baseline and winning candidates after the search, and

@@ -17,7 +17,7 @@ func rotatedProblem(seed uint64) Problem {
 	p := testProblem(seed)
 	p.Rotations = []rotation.Spec{
 		{Kind: rotation.Triggered, Period: 48},
-		{Kind: rotation.Periodic, Period: 24, Batch: 2, Downtime: 2},
+		{Kind: rotation.Periodic, Period: 24, Batch: 2},
 	}
 	return p
 }
@@ -297,7 +297,7 @@ func TestRotatedBeatsStaticFootholdGrid60(t *testing.T) {
 	rotated := p
 	rotated.Rotations = []rotation.Spec{
 		{Kind: rotation.Triggered, Period: 48},
-		{Kind: rotation.Adaptive, Period: 24, Batch: 2, Downtime: 2},
+		{Kind: rotation.Adaptive, Period: 24, Batch: 2},
 	}
 	moving, err := Run(rotated, &Greedy{})
 	if err != nil {

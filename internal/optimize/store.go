@@ -11,8 +11,8 @@ import (
 
 // evalSpecDigest hashes everything OUTSIDE the candidate that shapes an
 // evaluation's raw measurements: the exploit catalog, the threat
-// profile, the horizon, the replication count and seed (the common
-// random number streams) and the firewall override. The topology is
+// profile, the horizon and the replication count and seed (the common
+// random number streams). The topology is
 // deliberately left out (it is its own key word), and so are the cost
 // model, budget, objective, axes and search knobs — those shape what
 // the optimizer does with measurements, not the measurements themselves,
@@ -31,7 +31,7 @@ func evalSpecDigest(p *Problem) (uint64, error) {
 	d.F64(p.Horizon)
 	d.U64(uint64(p.Reps))
 	d.U64(p.Seed)
-	d.Str(string(p.FirewallVariant))
+	d.Str("") // the retired firewall override keeps its slot, so existing stores still warm-start
 	canary, err := runCanary(p)
 	if err != nil {
 		return 0, err
@@ -46,7 +46,7 @@ func evalSpecDigest(p *Problem) (uint64, error) {
 
 // The stale-science canary: a fixed, tiny, seeded evaluation on the
 // reference tiered plant (about two dozen nodes) under the problem's
-// catalog, profile and firewall override. It costs about a millisecond
+// catalog and profile. It costs about a millisecond
 // and runs only when a store is attached.
 const (
 	canaryReps        = 4
@@ -63,7 +63,7 @@ func runCanary(p *Problem) ([]evalstore.Measurements, error) {
 	outs, err := malware.Evaluate(malware.EvalSpec{
 		Config: malware.Config{
 			Topo: topology.NewTieredSCADA(topology.DefaultTieredSpec()), Catalog: p.Catalog,
-			Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+			Profile: p.Profile,
 		},
 		Horizon: canaryHorizon, Reps: canaryReps, Workers: 1, Seed: seed,
 	})

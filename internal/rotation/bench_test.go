@@ -38,7 +38,7 @@ func grid200Campaign(b *testing.B, spec *Spec) (*malware.Campaign, *Engine) {
 // static grid:200 baseline (TestRotatedSteadyStateAllocsGrid200 asserts
 // the bound).
 func BenchmarkRotatedCampaignGrid(b *testing.B) {
-	c, eng := grid200Campaign(b, &Spec{Kind: Periodic, Period: 24, Batch: 4, Downtime: 2})
+	c, eng := grid200Campaign(b, &Spec{Kind: Periodic, Period: 24, Batch: 4})
 	c.SetRotation(eng)
 	r := rng.New(0)
 	b.ReportAllocs()
@@ -67,7 +67,7 @@ func TestRotatedSteadyStateAllocsGrid200(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Spec{Kind: Periodic, Period: 24, Batch: 4, Downtime: 2}, topo, cat, malware.StuxnetProfile())
+	eng, err := NewEngine(Spec{Kind: Periodic, Period: 24, Batch: 4}, topo, cat, malware.StuxnetProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Spec is one immutable rotation schedule. The zero value is invalid;
-// fill at least Kind and call Validate (ParseSpec and the optimizer do).
+// Spec is one immutable rotation schedule: the policy, its period and
+// its batch. Every rotation reimages one node's OS at rotationCost. The
+// zero value is invalid; fill at least Kind and call Validate (ParseSpec
+// and the optimizer do).
 type Spec struct {
 	Kind Kind
 	// Period is the base interval in hours between rotation waves
@@ -87,37 +89,17 @@ type Spec struct {
 	Period float64
 	// Batch is how many nodes rotate per wave (default 1).
 	Batch int
-	// Downtime is the per-node reimaging window in hours: a rotating
-	// node is cured immediately and unattackable until the window ends
-	// (default 0 = instant).
-	Downtime float64
-	// CostPerRotation prices one node rotation in cost-model units
-	// (default 1). The schedule's PlannedCost folds into the placement
-	// budget; the realized spend is reported per replication.
-	CostPerRotation float64
-	// Budget caps the realized rotation spend per replication for the
-	// Adaptive policy; 0 defaults the cap to the base-rate spend over the
-	// horizon (PlannedCost), so adaptive overclock bursts borrow from its
-	// quiet stretches instead of exceeding the planned figure. Other
-	// policies ignore it (their wave count is already period-bounded).
-	Budget float64
-	// Classes are the rotated component classes (default: OS only).
-	Classes []exploits.Class
-	// Seed decorrelates this schedule's draws from other schedules
-	// evaluated under the same replication streams.
-	Seed uint64
 }
+
+// rotationCost prices one node rotation in cost-model units. The
+// schedule's PlannedCost folds into the placement budget; the realized
+// spend is reported per replication.
+const rotationCost = 1
 
 // withDefaults returns the spec with defaulted knobs filled in.
 func (s Spec) withDefaults() Spec {
 	if s.Batch <= 0 {
 		s.Batch = 1
-	}
-	if s.CostPerRotation <= 0 {
-		s.CostPerRotation = 1
-	}
-	if len(s.Classes) == 0 {
-		s.Classes = []exploits.Class{exploits.ClassOS}
 	}
 	return s
 }
@@ -135,15 +117,6 @@ func (s Spec) Validate() error {
 	if s.Batch < 0 {
 		return fmt.Errorf("%w: batch %d", ErrBadSpec, s.Batch)
 	}
-	if s.Downtime < 0 || math.IsNaN(s.Downtime) {
-		return fmt.Errorf("%w: downtime %v", ErrBadSpec, s.Downtime)
-	}
-	if s.CostPerRotation < 0 || math.IsNaN(s.CostPerRotation) {
-		return fmt.Errorf("%w: cost per rotation %v", ErrBadSpec, s.CostPerRotation)
-	}
-	if s.Budget < 0 || math.IsNaN(s.Budget) {
-		return fmt.Errorf("%w: budget %v", ErrBadSpec, s.Budget)
-	}
 	return nil
 }
 
@@ -160,9 +133,7 @@ func (s Spec) Name() string {
 
 // ParseSpec parses a CLI schedule selector: "kind", "kind:period" or
 // "kind:periodxbatch" — e.g. "triggered", "periodic:24",
-// "triggered:48x2". An omitted period defaults to 48 hours. Knobs
-// beyond kind, period and batch keep their defaults (set them through
-// the Spec API).
+// "triggered:48x2". An omitted period defaults to 48 hours.
 func ParseSpec(sel string) (Spec, error) {
 	kindStr, rest, hasRest := strings.Cut(sel, ":")
 	var spec Spec
@@ -208,20 +179,14 @@ func ParseSpec(sel string) (Spec, error) {
 // its budget, computable without simulating anything. Periodic and
 // Triggered price every possible wave at the base period (Triggered
 // conservatively assumes each poll fires). Adaptive prices the base
-// rate too — its engine enforces exactly this figure as its default
-// spend cap, so overclocked bursts borrow from quiet stretches — unless
-// an explicit Budget caps it lower.
+// rate too, and its engine enforces exactly this figure as its spend
+// cap, so overclocked bursts borrow from quiet stretches.
 func (s Spec) PlannedCost(horizon float64) float64 {
 	s = s.withDefaults()
 	if horizon <= 0 {
 		return 0
 	}
-	waves := math.Floor(horizon / s.Period)
-	cost := waves * float64(s.Batch) * s.CostPerRotation
-	if s.Kind == Adaptive && s.Budget > 0 && s.Budget < cost {
-		cost = s.Budget
-	}
-	return cost
+	return math.Floor(horizon/s.Period) * float64(s.Batch) * rotationCost
 }
 
 // Fingerprint returns a deterministic 64-bit digest of the schedule,
@@ -234,13 +199,13 @@ func (s Spec) Fingerprint() uint64 {
 	h.U64(uint64(s.Kind))
 	h.F64(s.Period)
 	h.U64(uint64(s.Batch))
-	h.F64(s.Downtime)
-	h.F64(s.CostPerRotation)
-	h.F64(s.Budget)
-	for _, c := range s.Classes {
-		h.U64(uint64(c))
-	}
-	h.U64(s.Seed)
+	// The retired downtime, cost, budget, class and seed knobs' fixed
+	// values keep their slots, so fingerprints and engine seeds stay put.
+	h.F64(0)
+	h.F64(rotationCost)
+	h.F64(0)
+	h.U64(uint64(exploits.ClassOS))
+	h.U64(0)
 	return h.Sum()
 }
 
@@ -260,8 +225,8 @@ type Engine struct {
 	// nodes is the candidate set ordered by criticality descending (the
 	// order reactive policies evict in; Periodic round-robins over it).
 	nodes []target
-	// pools[i] lists the catalog variants of Classes[i], sorted by ID.
-	pools [][]exploits.VariantID
+	// pool lists the catalog's OS variants, sorted by ID.
+	pool []exploits.VariantID
 	// lastRot[i] is the last virtual time nodes[i] rotated (reactive
 	// policies enforce a Period cool-down per node).
 	lastRot []float64
@@ -275,11 +240,10 @@ type Engine struct {
 }
 
 // NewEngine prepares an engine for one (spec, plant, threat) triple:
-// candidates are the nodes that carry at least one rotated class,
-// ordered by the structural surrogate. Unlike the placement optimizer —
-// which excludes corporate PCs because hardening the attacker's entry
-// machines is not a defense the paper considers — rotation includes
-// them: reimaging an office PC is the cheapest eviction there is, and
+// candidates are the nodes that carry an OS, ordered by the structural
+// surrogate. Unlike the placement optimizer — which excludes corporate
+// PCs because hardening the attacker's entry machines is not a defense
+// the paper considers — rotation includes them: reimaging an office PC is the cheapest eviction there is, and
 // the dynamic-diversity studies rotate the whole host population. All
 // allocation happens here; Start and Tick are allocation-free.
 func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profile malware.Profile) (*Engine, error) {
@@ -287,17 +251,13 @@ func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profil
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{spec: spec, specFP: spec.Fingerprint()}
-	for _, class := range spec.Classes {
-		variants := cat.VariantsOf(class)
-		if len(variants) < 2 {
-			return nil, fmt.Errorf("%w: catalog has %d variant(s) of %v — nothing to rotate to", ErrBadSpec, len(variants), class)
-		}
-		pool := make([]exploits.VariantID, len(variants))
-		for i, v := range variants {
-			pool[i] = v.ID
-		}
-		e.pools = append(e.pools, pool)
+	variants := cat.VariantsOf(exploits.ClassOS)
+	if len(variants) < 2 {
+		return nil, fmt.Errorf("%w: catalog has %d variant(s) of %v — nothing to rotate to", ErrBadSpec, len(variants), exploits.ClassOS)
+	}
+	e := &Engine{spec: spec, specFP: spec.Fingerprint(), pool: make([]exploits.VariantID, len(variants))}
+	for i, v := range variants {
+		e.pool[i] = v.ID
 	}
 	crit := malware.CriticalityScores(topo, profile)
 	// Entry nodes get a strong ordering bonus: they are where infected
@@ -309,23 +269,17 @@ func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profil
 		entry[k] = true
 	}
 	for _, n := range topo.Nodes() {
-		carries := false
-		for _, class := range spec.Classes {
-			if _, ok := n.Component(class); ok {
-				carries = true
-				break
-			}
+		if _, ok := n.Component(exploits.ClassOS); !ok {
+			continue
 		}
-		if carries {
-			score := crit[n.ID]
-			if entry[n.Kind] {
-				score += 2
-			}
-			e.nodes = append(e.nodes, target{id: n.ID, score: score})
+		score := crit[n.ID]
+		if entry[n.Kind] {
+			score += 2
 		}
+		e.nodes = append(e.nodes, target{id: n.ID, score: score})
 	}
 	if len(e.nodes) == 0 {
-		return nil, fmt.Errorf("%w: no node carries any of the rotated classes", ErrBadSpec)
+		return nil, fmt.Errorf("%w: no node carries an OS", ErrBadSpec)
 	}
 	slices.SortFunc(e.nodes, func(a, b target) int {
 		if c := cmp.Compare(b.score, a.score); c != 0 {
@@ -347,8 +301,8 @@ func (e *Engine) Start(rc malware.RotationControl, seed uint64) {
 	e.period = e.spec.Period
 	e.budget = 0
 	if e.spec.Kind == Adaptive {
-		// The enforced cap matches PlannedCost exactly: the explicit
-		// Budget, or the base-rate spend over this replication's horizon.
+		// The enforced cap matches PlannedCost exactly: the base-rate
+		// spend over this replication's horizon.
 		e.budget = e.spec.PlannedCost(rc.Horizon())
 	}
 	for i := range e.lastRot {
@@ -380,7 +334,7 @@ func (e *Engine) Tick(rc malware.RotationControl) {
 			e.period = math.Min(e.spec.Period*4, e.period*1.5)
 		}
 		e.rotateBatch(rc, now)
-		if e.budget > 0 && e.budget-e.spent < e.spec.CostPerRotation {
+		if e.budget > 0 && e.budget-e.spent < rotationCost {
 			return // budget exhausted for good: stop ticking
 		}
 		rc.ScheduleTick(e.period)
@@ -388,7 +342,7 @@ func (e *Engine) Tick(rc malware.RotationControl) {
 }
 
 // rotateBatch rotates up to Batch candidate nodes at time now. Nodes
-// whose classes are all placement-pinned are skipped (their attempt
+// whose OS is placement-pinned are skipped (their attempt
 // still starts a cool-down, so reactive policies do not stall on them);
 // the scan gives up after one pass over the candidate set.
 func (e *Engine) rotateBatch(rc malware.RotationControl, now float64) {
@@ -398,7 +352,7 @@ func (e *Engine) rotateBatch(rc malware.RotationControl, now float64) {
 		if idx < 0 {
 			return
 		}
-		if e.budget > 0 && e.spent+e.spec.CostPerRotation > e.budget {
+		if e.budget > 0 && e.spent+rotationCost > e.budget {
 			return
 		}
 		if e.rotateNode(rc, idx, now) {
@@ -426,55 +380,46 @@ func (e *Engine) nextTarget(now float64) int {
 	return -1
 }
 
-// rotateNode rotates every spec class the node carries to a uniformly
-// drawn different variant, billing CostPerRotation once per node. It
-// reports whether anything actually rotated (placement-pinned classes
-// refuse); either way the node enters its cool-down.
+// rotateNode rotates the node's OS to a uniformly drawn different
+// variant, billing rotationCost. It reports whether the OS actually
+// rotated (a placement-pinned OS refuses); either way the node enters
+// its cool-down.
 func (e *Engine) rotateNode(rc malware.RotationControl, idx int, now float64) bool {
-	cost := e.spec.CostPerRotation
+	e.lastRot[idx] = now
 	id := e.nodes[idx].id
-	billed := false
-	for ci, class := range e.spec.Classes {
-		cur, ok := rc.Variant(id, class)
-		if !ok {
-			continue
-		}
-		pool := e.pools[ci]
-		// Uniform draw over the pool minus the current variant, without
-		// building a filtered slice (Tick stays allocation-free).
-		eligible := len(pool)
-		for _, v := range pool {
-			if v == cur {
-				eligible--
-			}
-		}
-		if eligible == 0 {
-			continue
-		}
-		k := 0
-		if eligible > 1 {
-			k = e.r.Intn(eligible)
-		}
-		var next exploits.VariantID
-		for _, v := range pool {
-			if v == cur {
-				continue
-			}
-			if k == 0 {
-				next = v
-				break
-			}
-			k--
-		}
-		bill := 0.0
-		if !billed {
-			bill = cost
-		}
-		if rc.Rotate(id, class, next, e.spec.Downtime, bill) && !billed {
-			billed = true
-			e.spent += cost
+	cur, ok := rc.Variant(id, exploits.ClassOS)
+	if !ok {
+		return false
+	}
+	// Uniform draw over the pool minus the current variant, without
+	// building a filtered slice (Tick stays allocation-free).
+	eligible := len(e.pool)
+	for _, v := range e.pool {
+		if v == cur {
+			eligible--
 		}
 	}
-	e.lastRot[idx] = now
-	return billed
+	if eligible == 0 {
+		return false
+	}
+	k := 0
+	if eligible > 1 {
+		k = e.r.Intn(eligible)
+	}
+	var next exploits.VariantID
+	for _, v := range e.pool {
+		if v == cur {
+			continue
+		}
+		if k == 0 {
+			next = v
+			break
+		}
+		k--
+	}
+	if !rc.Rotate(id, exploits.ClassOS, next, rotationCost) {
+		return false
+	}
+	e.spent += rotationCost
+	return true
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"diversify/internal/des"
 	"diversify/internal/rng"
@@ -40,14 +41,6 @@ type PlaceID int
 
 // Marking is the token count per place, indexed by PlaceID.
 type Marking []int
-
-// CopyInto copies m into dst, reusing dst's backing array when its
-// capacity suffices, and returns the destination. Replication loops use
-// it to recycle one scratch marking across runs instead of allocating a
-// fresh one per replication (see NewSimReusing).
-func (m Marking) CopyInto(dst Marking) Marking {
-	return append(dst[:0], m...)
-}
 
 // Tokens returns the token count of place p.
 func (m Marking) Tokens(p PlaceID) int { return m[p] }
@@ -131,8 +124,7 @@ func (a *Activity) Output(p PlaceID, tokens int) *Activity {
 
 // Model is a SAN definition: places, activities and an initial marking.
 // Build it with the fluent API, Validate it once, then execute it any
-// number of times with NewSimReusing (each Sim owns an independent
-// marking).
+// number of times with NewSim (each Sim owns an independent marking).
 type Model struct {
 	placeNames []string
 	initial    Marking
@@ -249,20 +241,16 @@ func (t *timer) disarm() {
 	t.gen++
 }
 
-// NewSimReusing creates a simulator over model with the given RNG
-// stream. It re-validates the model and returns the error, if any. The
-// initial marking is CopyInto'd scratch, so Monte-Carlo loops that build
-// a Sim per replication can recycle one buffer (per worker) across
-// replications. The Sim owns the scratch for its lifetime; once the run
-// is over, Marking() returns it for reuse. A nil scratch gets a fresh
-// marking.
-func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
+// NewSim creates a simulator over model with the given RNG stream, on a
+// copy of the initial marking. It re-validates the model and returns the
+// error, if any.
+func NewSim(model *Model, r *rng.Rand) (*Sim, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Sim{
 		model:   model,
-		marking: model.initial.CopyInto(scratch),
+		marking: slices.Clone(model.initial),
 		eng:     des.NewSim(),
 		r:       r,
 		timers:  make([]timer, len(model.activities)),

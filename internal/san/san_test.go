@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +13,7 @@ import (
 
 func mustSim(t *testing.T, m *Model, seed uint64) *Sim {
 	t.Helper()
-	s, err := NewSimReusing(m, rng.New(seed), nil)
+	s, err := NewSim(m, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,7 @@ func TestQuickTokenConservation(t *testing.T) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(b, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(b, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSimReusing(m, rng.New(seed), nil)
+		s, err := NewSim(m, rng.New(seed))
 		if err != nil {
 			return false
 		}
@@ -423,7 +422,7 @@ func TestAttackStagePipelineShape(t *testing.T) {
 	succ := 0
 	const reps = 2000
 	for i := 0; i < reps; i++ {
-		s, err := NewSimReusing(m, rng.New(uint64(i)), nil)
+		s, err := NewSim(m, rng.New(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +456,7 @@ func BenchmarkSANRing(b *testing.B) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(bb, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(bb, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSimReusing(m, rng.New(uint64(i)), nil)
+		s, err := NewSim(m, rng.New(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -491,7 +490,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Keep semantics: stage completes at t=2.
 	m, done := build(false)
-	s, err := NewSimReusing(m, rng.New(1), nil)
+	s, err := NewSim(m, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +503,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Resample semantics: heartbeat every 0.9 restarts the 2.0 timer.
 	m, done = build(true)
-	s, err = NewSimReusing(m, rng.New(1), nil)
+	s, err = NewSim(m, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +534,7 @@ func TestResampleExponentialEquivalence(t *testing.T) {
 			stage.SetResample(resample)
 			m.TimedActivity("beat", rng.Exponential{Rate: 1.1}).
 				Input(beat, 1).Output(beat, 1)
-			s, err := NewSimReusing(m, rng.New(seed+uint64(i)), nil)
+			s, err := NewSim(m, rng.New(seed+uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -557,72 +556,5 @@ func TestResampleExponentialEquivalence(t *testing.T) {
 	}
 	if math.Abs(res-keep) > 0.15 {
 		t.Fatalf("semantics diverge under exponential delays: keep=%v resample=%v", keep, res)
-	}
-}
-
-// CopyInto must reuse the destination's backing array when capacity
-// allows, and produce a value-identical marking either way.
-func TestMarkingCopyInto(t *testing.T) {
-	src := Marking{3, 1, 4, 1, 5}
-	dst := make(Marking, 2, 8)
-	got := src.CopyInto(dst)
-	if !slices.Equal(got, src) {
-		t.Fatalf("CopyInto = %v, want %v", got, src)
-	}
-	if &got[0] != &dst[:1][0] {
-		t.Fatal("CopyInto reallocated despite sufficient capacity")
-	}
-	got[0] = 99
-	if src[0] == 99 {
-		t.Fatal("CopyInto aliases the source")
-	}
-	if fresh := src.CopyInto(nil); !slices.Equal(fresh, src) {
-		t.Fatalf("CopyInto(nil) = %v, want %v", fresh, src)
-	}
-}
-
-// A Sim on a recycled scratch marking must replay exactly like a fresh
-// one under the same stream — the contract the replication loops in
-// scope/experiments rely on.
-func TestNewSimReusingMatchesFresh(t *testing.T) {
-	build := func() (*Model, PlaceID) {
-		m := NewModel()
-		a := m.Place("a", 3)
-		b := m.Place("b", 0)
-		c := m.Place("c", 0)
-		act := m.TimedActivity("move", rng.Exponential{Rate: 1.5}).Input(a, 1)
-		act.Case(Case{Name: "left", Prob: 0.6, Outputs: []Arc{{Place: b, Tokens: 1}}})
-		act.Case(Case{Name: "right", Prob: 0.4, Outputs: []Arc{{Place: c, Tokens: 2}}})
-		return m, b
-	}
-	var scratch Marking
-	for seed := uint64(1); seed <= 6; seed++ {
-		m, _ := build()
-		fresh := mustSim(t, m, seed)
-		ft, err := runTrace(fresh, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, _ := build()
-		reused, err := NewSimReusing(m2, rng.New(seed), scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := runTrace(reused, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(fresh.Marking(), reused.Marking()) {
-			t.Fatalf("seed %d: markings diverged: %v vs %v", seed, fresh.Marking(), reused.Marking())
-		}
-		if len(ft) != len(rt) {
-			t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(ft), len(rt))
-		}
-		for i := range ft {
-			if ft[i] != rt[i] {
-				t.Fatalf("seed %d: trace[%d] %+v vs %+v", seed, i, ft[i], rt[i])
-			}
-		}
-		scratch = reused.Marking() // recycle into the next replication
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"diversify/internal/des"
 	"diversify/internal/diversity"
@@ -268,12 +267,6 @@ func (cs *CaseStudy) buildSAN(assign *diversity.Assignment) (*sanModel, error) {
 	return sm, nil
 }
 
-// markingPool recycles scratch markings across EvaluateSAN replications
-// (which run concurrently under des.Replicate — the pool keeps reuse
-// race-free). Contents are fully overwritten by CopyInto, so pooling
-// never affects results.
-var markingPool = sync.Pool{New: func() any { return new(san.Marking) }}
-
 // EvaluateSAN runs one SAN replication under the assignment and returns
 // the outcome (success = ImpairTargets PLCs impaired within the horizon).
 func (cs *CaseStudy) EvaluateSAN(assign *diversity.Assignment, r *rng.Rand, horizon float64) (indicators.Outcome, error) {
@@ -284,18 +277,10 @@ func (cs *CaseStudy) EvaluateSAN(assign *diversity.Assignment, r *rng.Rand, hori
 	if err != nil {
 		return indicators.Outcome{}, err
 	}
-	scratch := markingPool.Get().(*san.Marking)
-	sim, err := san.NewSimReusing(sm.model, r, *scratch)
+	sim, err := san.NewSim(sm.model, r)
 	if err != nil {
-		markingPool.Put(scratch)
 		return indicators.Outcome{}, err
 	}
-	// The outcome never references the marking, so the buffer goes back
-	// to the pool once this replication's Sim is done with it.
-	defer func() {
-		*scratch = sim.Marking()
-		markingPool.Put(scratch)
-	}()
 	// Compromised-ratio reward over the countable nodes.
 	total := len(sm.perNode)
 	ok, at, err := sim.RunUntil(horizon, func(mk san.Marking) bool {

@@ -494,24 +494,13 @@ func (t *Topology) Neighbors(id NodeID) []Neighbor {
 // NeighborsByVector lists neighbors reachable with an attack of the given
 // vector (media filtering only; firewall effects are probabilistic and
 // belong to the threat model). The slice is a view into the sealed
-// layout: zero-allocation, shared, read-only.
+// layout: zero-allocation, shared, read-only. The layout covers every
+// defined vector; no medium carries any other, so it has no neighbors.
 func (t *Topology) NeighborsByVector(id NodeID, v exploits.Vector) []Neighbor {
-	if int(id) < 0 || int(id) >= len(t.nodes) {
+	if int(id) < 0 || int(id) >= len(t.nodes) || int(v) < 0 || int(v) >= sealedVectorSpan {
 		return nil
 	}
-	s := t.seal()
-	if int(v) >= 0 && int(v) < len(s.byVec) {
-		return s.byVec[v].of(id)
-	}
-	// Vector newer than the sealed layout: filter on the fly (allocates,
-	// but keeps Medium.Carries authoritative for every vector).
-	var out []Neighbor
-	for _, nb := range s.all.of(id) {
-		if nb.Medium.Carries(v) {
-			out = append(out, nb)
-		}
-	}
-	return out
+	return t.seal().byVec[v].of(id)
 }
 
 // ShortestPath returns a minimum-hop path from src to dst over links that

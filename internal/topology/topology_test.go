@@ -117,6 +117,12 @@ func TestNeighborsByVector(t *testing.T) {
 	if loc := tp.NeighborsByVector(a, exploits.VectorLocal); len(loc) != 0 {
 		t.Fatalf("local vector traversed links: %+v", loc)
 	}
+	// Undefined vectors, inside and past the sealed layout, reach nothing.
+	for _, v := range []exploits.Vector{0, 99} {
+		if nbs := tp.NeighborsByVector(a, v); len(nbs) != 0 {
+			t.Fatalf("vector %d neighbors = %+v", v, nbs)
+		}
+	}
 }
 
 func TestMediumCarries(t *testing.T) {
