@@ -459,7 +459,8 @@ func OptimizeContext(ctx context.Context, cfg OptimizeConfig) (*OptimizeResult, 
 	})
 }
 
-// OptimizeRunStats re-exports the fault-tolerance runtime bookkeeping
-// carried on OptimizeResult.Stats (store traffic, retries, quarantines,
-// wall-clock).
+// OptimizeRunStats re-exports the runtime bookkeeping carried on
+// OptimizeResult.Stats: the run's ledger (logical evaluation counts,
+// store traffic, simulated and replayed replications, retries,
+// quarantines) and its wall-clock.
 type OptimizeRunStats = optimize.RunStats

@@ -75,7 +75,7 @@ func checkGuardedAccess(pass *Pass, file *ast.File, sel *ast.SelectorExpr, mutex
 	root, path, ok := refPath(pass.Info, sel.X)
 	if !ok {
 		// Dynamic receiver (call result, index): cannot track the lock —
-		// demand a binding, same policy as telemetryguard.
+		// demand a binding, same policy as nilguard.
 		pass.Reportf(sel.Pos(), "cannot verify lock discipline for dynamic receiver %s: bind it to a variable first", types.ExprString(sel.X))
 		return
 	}

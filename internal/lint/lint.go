@@ -1,11 +1,11 @@
-// Package lint is the repo's custom static-analysis suite: nine
+// Package lint is the repo's custom static-analysis suite: eight
 // analyzers that machine-check the load-bearing guarantees every PR so
 // far has only enforced dynamically — common-random-number determinism,
 // context propagation, the CRN seeding gate, durable-write error
-// handling, the zero-cost-when-disabled telemetry and trace contracts,
-// and (since step 9) the interprocedural versions: transitive
-// determinism reachability, declared lock discipline and static
-// hot-path allocation gating.
+// handling, the zero-cost-when-disabled telemetry and trace contracts
+// (one nil-guard analyzer), and (since step 9) the interprocedural
+// versions: transitive determinism reachability, declared lock
+// discipline and static hot-path allocation gating.
 //
 // The suite is stdlib-only (go/parser + go/types, module packages
 // checked from source and the standard library from `go list -export`
@@ -141,7 +141,7 @@ func (p *ProgramPass) ReportPosf(pos token.Position, format string, args ...any)
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetSource, CtxPropagate, RNGGate, DurableErr, TelemetryGuard, TraceGuard, GuardedBy, DetReach, HotAlloc}
+	return []*Analyzer{DetSource, CtxPropagate, RNGGate, DurableErr, NilGuard, GuardedBy, DetReach, HotAlloc}
 }
 
 // Check runs the analyzers over the loaded packages and returns every

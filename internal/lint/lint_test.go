@@ -119,15 +119,15 @@ func TestDurableErrFixture(t *testing.T) {
 }
 
 func TestTelemetryGuardFixture(t *testing.T) {
-	runFixture(t, "diversify/internal/scada", []*Analyzer{TelemetryGuard}, "telemetryguard.go")
+	runFixture(t, "diversify/internal/scada", []*Analyzer{NilGuard}, "telemetryguard.go")
 }
 
 func TestTraceGuardFixture(t *testing.T) {
-	runFixture(t, "diversify/internal/scada", []*Analyzer{TraceGuard}, "traceguard.go")
+	runFixture(t, "diversify/internal/scada", []*Analyzer{NilGuard}, "traceguard.go")
 }
 
 func TestTelemetryGuardCmdExempt(t *testing.T) {
-	runFixture(t, "diversify/cmd/optimize", []*Analyzer{TelemetryGuard}, "telemetryguard_cmd.go")
+	runFixture(t, "diversify/cmd/optimize", []*Analyzer{NilGuard}, "telemetryguard_cmd.go")
 }
 
 func TestDetReachFixture(t *testing.T) {

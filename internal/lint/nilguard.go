@@ -7,27 +7,37 @@ import (
 	"strings"
 )
 
-// TelemetryGuard enforces the PR-7 zero-cost-when-disabled contract:
-// every Emit on a telemetry.Sink-typed value inside internal/ must sit
-// behind the nil-sink guard pattern — either directly inside
-// `if s != nil { ... }` or after an early `if s == nil { return }` in
-// the same function. Without the guard, a disabled run still pays for
-// event construction (and typically a wall-clock read) on the hot
-// scoring path. cmd/ is exempt: the CLI always wires a concrete sink.
-// internal/telemetry itself is exempt: Multi's fan-out loop and the
-// Recorder are the implementation of the contract, not users of it.
-var TelemetryGuard = &Analyzer{
-	Name: "telemetryguard",
-	Doc: "telemetry.Sink emissions must be behind the nil-sink guard " +
-		"(zero-cost-when-disabled)",
+// NilGuard enforces the zero-cost-when-disabled contract of the two
+// optional observers: every Emit on a telemetry.Sink or a *trace.Tracer
+// inside internal/ must sit behind its nil guard — either directly
+// inside `if s != nil { ... }` or after an early `if s == nil { return }`
+// in the same function. Without the guard a run without telemetry still
+// pays for event construction (and typically a wall-clock read) on the
+// hot scoring path, and every untraced replication pays for record
+// construction on the campaign hot path. cmd/ is exempt: the CLI always
+// wires a concrete sink. Each observer's own package is exempt from its
+// row: Multi's fan-out, the Recorder and the Tracer's methods are the
+// implementation of the contract, not users of it.
+var NilGuard = &Analyzer{
+	Name: "nilguard",
+	Doc: "telemetry.Sink and trace.Tracer emissions must be behind their " +
+		"nil guard (zero-cost-when-disabled)",
 	Applies: func(pkgPath string) bool {
-		return strings.HasPrefix(pkgPath, "diversify/internal/") &&
-			pkgPath != "diversify/internal/telemetry"
+		return strings.HasPrefix(pkgPath, "diversify/internal/")
 	},
-	Run: runTelemetryGuard,
+	Run: runNilGuard,
 }
 
-func runTelemetryGuard(pass *Pass) {
+// nilGuarded lists the guarded emitter types: the package and type name,
+// the noun findings use, and who pays when the guard is missing.
+var nilGuarded = []struct {
+	pkg, typ, noun, payer string
+}{
+	{"diversify/internal/telemetry", "Sink", "sink", "disabled runs"},
+	{"diversify/internal/trace", "Tracer", "tracer", "untraced replications"},
+}
+
+func runNilGuard(pass *Pass) {
 	for _, f := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -45,16 +55,19 @@ func runTelemetryGuard(pass *Pass) {
 				return true
 			}
 			tv, ok := pass.Info.Types[sel.X]
-			if !ok || !namedFrom(tv.Type, "diversify/internal/telemetry", "Sink") {
-				return true
-			}
-			root, path, ok := refPath(pass.Info, sel.X)
 			if !ok {
-				pass.Reportf(call.Pos(), "cannot verify nil-sink guard for dynamic sink expression %s.Emit: bind the sink to a variable and guard it", types.ExprString(sel.X))
 				return true
 			}
-			if !guardedBy(pass, stack, call, root, path) {
-				pass.Reportf(call.Pos(), "%s.Emit is not behind a nil-sink guard: wrap it in `if %s != nil { ... }` so disabled runs pay nothing", path, path)
+			for _, g := range nilGuarded {
+				if pass.Path == g.pkg || !namedFrom(tv.Type, g.pkg, g.typ) {
+					continue
+				}
+				root, path, ok := refPath(pass.Info, sel.X)
+				if !ok {
+					pass.Reportf(call.Pos(), "cannot verify nil-%s guard for dynamic %s expression %s.Emit: bind the %s to a variable and guard it", g.noun, g.noun, types.ExprString(sel.X), g.noun)
+				} else if !guardedBy(pass, stack, call, root, path) {
+					pass.Reportf(call.Pos(), "%s.Emit is not behind a nil-%s guard: wrap it in `if %s != nil { ... }` so %s pay nothing", path, g.noun, path, g.payer)
+				}
 			}
 			return true
 		})

@@ -87,16 +87,16 @@ type Evaluator struct {
 
 	cache   map[uint64]Score
 	archive []archived
-	hits    int
-	misses  int
-	// quarantined counts candidates scored infeasible after repeated
-	// evaluation panics; retries counts panicked replication attempts
-	// that were replayed; repHook is the fault-injection seam the
-	// robustness tests use (called once per replication attempt, after
-	// the campaign runs and before its outcome is kept).
-	quarantined int
-	retries     int
-	repHook     func(c Candidate, rep int)
+	// hits and misses are the raw cumulative Score counts RoundCompleted
+	// reports; tot is the run's ledger, whose effort counts accrue here
+	// and whose logical counts RunWith fills in from the cache.
+	hits   int
+	misses int
+	tot    telemetry.Totals
+	// repHook is the fault-injection seam the robustness tests use
+	// (called once per replication attempt, after the campaign runs and
+	// before its outcome is kept).
+	repHook func(c Candidate, rep int)
 
 	// sink, when non-nil, receives the telemetry event stream; started
 	// anchors the monotonic Elapsed stamps on trace steps and events.
@@ -113,8 +113,6 @@ type Evaluator struct {
 	// authoritative.
 	store          *evalstore.Store
 	topoFP, specFP uint64
-	storeHits      int
-	storePuts      int
 
 	// meas holds one measurement vector per replication, averaged in
 	// replication order so float accumulation is independent of the
@@ -125,14 +123,11 @@ type Evaluator struct {
 	// the placement the runner's campaigns last resolved variants under
 	// (valid once installedOK), so a Run drops only the resolved indices
 	// of the slots that changed since; slots is the reusable buffer of
-	// diffSlots. simulated counts the replications the runner ran,
-	// replayed the ones copied from the reference instead.
+	// diffSlots.
 	ref         reference
 	installed   diversity.Assignment
 	installedOK bool
 	slots       []malware.Slot
-	simulated   int
-	replayed    int
 
 	// zoneBuf is the reusable scratch for MaxPerZone violation scans.
 	zoneBuf []diversity.Entry
@@ -276,17 +271,14 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		} else if e.store.Quarantined(key) {
 			// An earlier run quarantined this candidate: serve the verdict
 			// instead of replaying its panics.
-			e.quarantined++
+			e.tot.Quarantined++
 			s = Score{Value: infeasibleValue, Quarantined: true}
 			stored = true
 		}
 		if stored {
-			e.storeHits++
+			e.tot.StoreHits++
 			if e.sink != nil {
-				e.sink.Emit(telemetry.EvaluationBatch{
-					Fingerprint: fp, FromStore: true,
-					Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
-				})
+				e.sink.Emit(telemetry.EvaluationBatch{Fingerprint: fp, FromStore: true})
 			}
 		}
 	}
@@ -297,14 +289,14 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		if e.sink != nil {
 			batchStart = wallClock()
 		}
-		simulated, replayed := e.simulated, e.replayed
+		simulated, replayed := e.tot.Simulated, e.tot.Replayed
 		m, err := e.simulate(c, nil)
 		var pe *des.PanicError
 		if errors.As(err, &pe) {
 			// The candidate's evaluation panicked repeatedly: quarantine it —
 			// cached as infeasible so the search keeps moving and never
 			// revisits it — instead of killing the whole run.
-			e.quarantined++
+			e.tot.Quarantined++
 			s = Score{Value: infeasibleValue, Quarantined: true}
 			e.persist(fp, nil)
 		} else if err != nil {
@@ -314,9 +306,8 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			e.persist(fp, &m)
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
-					Fingerprint: fp, Replications: e.simulated - simulated, Replayed: e.replayed - replayed,
-					Duration:    sinceWall(batchStart),
-					Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
+					Fingerprint: fp, Replications: e.tot.Simulated - simulated, Replayed: e.tot.Replayed - replayed,
+					Duration: sinceWall(batchStart),
 				})
 			}
 		}
@@ -343,7 +334,7 @@ func (e *Evaluator) persist(fp uint64, m *evalstore.Measurements) {
 		e.store = nil // a broken store must not kill a healthy search
 		return
 	}
-	e.storePuts++
+	e.tot.StorePuts++
 }
 
 // value maps measurements to the minimized scalar.
@@ -422,12 +413,12 @@ func (e *Evaluator) run(a *diversity.Assignment, job malware.Job, keep func(i in
 	e.installed.CopyFrom(a)
 	e.installedOK = true
 	if job.Reps == nil {
-		e.simulated += e.p.Reps
+		e.tot.Simulated += e.p.Reps
 	} else {
-		e.simulated += len(job.Reps)
+		e.tot.Simulated += len(job.Reps)
 	}
 	retries, err := e.runner.Run(e.ctx, job, keep)
-	e.retries += retries
+	e.tot.Retries += retries
 	return err
 }
 
@@ -493,7 +484,7 @@ func (e *Evaluator) replay(a *diversity.Assignment) ([]int, error) {
 			todo = append(todo, i)
 		} else {
 			e.meas[i] = ref.meas[i]
-			e.replayed++
+			e.tot.Replayed++
 		}
 	}
 	ref.todo = todo

@@ -534,26 +534,13 @@ type RunOptions struct {
 	Metrics *telemetry.Registry
 }
 
-// RunStats is the runtime bookkeeping of one RunWith call. It rides on
-// Result outside the JSON surface, so clean and store-resumed runs stay
-// byte-identical where determinism is asserted.
+// RunStats is the runtime bookkeeping of one RunWith call: the run's
+// ledger (the same value RunFinished and the telemetry report carry)
+// and its wall-clock. It rides on Result outside the JSON surface, so
+// clean and store-resumed runs stay byte-identical where determinism is
+// asserted.
 type RunStats struct {
-	// StoreHits / StorePuts count durable evaluation-store traffic,
-	// quarantine tombstones included (zero when no store is attached).
-	StoreHits int
-	StorePuts int
-	// Retries counts replication attempts that panicked and were replayed
-	// under the same stream seed; Quarantined the candidates scored
-	// infeasible after a replication exhausted des.Pool's panic retries.
-	Retries     int
-	Quarantined int
-	// Simulated counts the replications the evaluator actually ran, the
-	// reference recordings, the random baseline and explanation replays
-	// included; Replayed counts the replications it copied from a
-	// reference candidate instead (see Evaluator). Result.Replications
-	// stays the logical Evaluations × Reps.
-	Simulated int
-	Replayed  int
+	telemetry.Totals
 	// Elapsed is the full RunWith wall-clock.
 	Elapsed time.Duration
 }
@@ -662,14 +649,14 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		// as a perfect free placement.
 		return nil, fmt.Errorf("%w: no feasible candidate — every evaluation was quarantined", ErrBadProblem)
 	}
-	// Snapshot the effort accounting before the comparison row below, so
-	// the random baseline's simulation is not billed to the strategy.
-	// The counters are derived logically — misses as distinct evaluated
-	// candidates (cache size), hits as the remaining Score calls — so a
-	// store-resumed run reports exactly the numbers of the uninterrupted
-	// run.
-	misses := len(ev.cache)
-	hits := ev.hits + ev.misses - misses
+	// Snapshot the logical counts before the comparison row below, so
+	// the random baseline's evaluation is not billed to the strategy.
+	// They are derived from the cache — evaluations as distinct evaluated
+	// candidates, hits as the remaining Score calls — so a store-resumed
+	// run reports exactly the numbers of the uninterrupted run.
+	ev.tot.Evaluations = len(ev.cache)
+	ev.tot.CacheHits = ev.hits + ev.misses - ev.tot.Evaluations
+	ev.tot.Replications = ev.tot.Evaluations * p.Reps
 	// The random baseline is evaluated outside the archive so "best found
 	// by the strategy" never silently points at the comparison row. A
 	// degraded run skips it (its zero Score documents itself via
@@ -732,43 +719,24 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		Pareto:          paretoFront(&p, ev),
 		Explanations:    explanations,
 		Degraded:        degraded,
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		Evaluations:     misses,
-		Replications:    misses * p.Reps,
+		CacheHits:       ev.tot.CacheHits,
+		CacheMisses:     ev.tot.Evaluations,
+		Evaluations:     ev.tot.Evaluations,
+		Replications:    ev.tot.Replications,
+		Stats:           RunStats{Totals: ev.tot},
 	}
 	if bestC.Rot >= 0 {
 		spec := p.Rotations[bestC.Rot]
 		res.BestRotationSpec = &spec
 	}
-	stats := RunStats{
-		StoreHits:   ev.storeHits,
-		StorePuts:   ev.storePuts,
-		Retries:     ev.retries,
-		Quarantined: ev.quarantined,
-		Simulated:   ev.simulated,
-		Replayed:    ev.replayed,
-		Elapsed:     sinceWall(started),
-	}
-	res.Stats = stats
+	res.Stats.Elapsed = sinceWall(started)
 	if ev.sink != nil {
-		// RunFinished carries the authoritative totals — the same numbers
+		// RunFinished carries the authoritative totals — the same value
 		// the Result reports — so any collector's summary is consistent
 		// with the returned Result by construction.
 		ev.sink.Emit(telemetry.RunFinished{
-			Strategy:     o.Name(),
-			Best:         best.Value,
-			Evaluations:  res.Evaluations,
-			CacheHits:    res.CacheHits,
-			StoreHits:    stats.StoreHits,
-			StorePuts:    stats.StorePuts,
-			Replications: res.Replications,
-			Simulated:    stats.Simulated,
-			Replayed:     stats.Replayed,
-			Retries:      stats.Retries,
-			Quarantined:  stats.Quarantined,
-			Degraded:     degraded,
-			Elapsed:      stats.Elapsed,
+			Strategy: o.Name(), Best: best.Value, Totals: res.Stats.Totals,
+			Degraded: degraded, Elapsed: res.Stats.Elapsed,
 		})
 	}
 	if coll != nil {
@@ -913,16 +881,9 @@ func randomFill(p *Problem, r *rng.Rand) *diversity.Assignment {
 // upgradeOptions filters the option space to switches that strictly
 // increase the node's variant resilience over its topology default.
 func upgradeOptions(p *Problem) []diversity.Option {
-	nodes := p.Topo.Nodes()
 	var out []diversity.Option
 	for _, opt := range p.Options {
-		def, ok := nodes[opt.Node].Component(opt.Class)
-		if !ok {
-			continue
-		}
-		dv, okD := p.Catalog.Variant(def)
-		nv, okN := p.Catalog.Variant(opt.Variant)
-		if okD && okN && nv.Resilience > dv.Resilience {
+		if p.resilienceGain(opt) > 0 {
 			out = append(out, opt)
 		}
 	}

@@ -146,7 +146,7 @@ func TestReplayMatchesFullSimulation(t *testing.T) {
 							}
 						}
 						c := Candidate{A: cand, Rot: -1}
-						before := ev.replayed
+						before := ev.tot.Replayed
 						got, err := ev.simulate(c, nil)
 						if err != nil {
 							t.Fatal(err)
@@ -163,13 +163,13 @@ func TestReplayMatchesFullSimulation(t *testing.T) {
 						for i := range gotReps {
 							if !sameBits(gotReps[i], full.meas[i]) {
 								t.Fatalf("trial %d candidate %d replication %d: got %v, full simulation %v (%d replayed)",
-									trial, j, i, gotReps[i], full.meas[i], ev.replayed-before)
+									trial, j, i, gotReps[i], full.meas[i], ev.tot.Replayed-before)
 							}
 						}
 						if !sameBits(got, want) {
 							t.Fatalf("trial %d candidate %d: mean %v, full simulation %v", trial, j, got, want)
 						}
-						switch n := ev.replayed - before; {
+						switch n := ev.tot.Replayed - before; {
 						case n == p.Reps:
 							whole++
 						case n > 0:
@@ -230,9 +230,9 @@ func TestReplaySkipsRotatingAndTraced(t *testing.T) {
 	if _, err := ev.Score(base); err != nil {
 		t.Fatal(err)
 	}
-	if ev.replayed != p.Reps || ev.simulated != p.Reps {
+	if ev.tot.Replayed != p.Reps || ev.tot.Simulated != p.Reps {
 		t.Fatalf("static copy of the reference: %d replayed, %d simulated (the recording), want %d and %d",
-			ev.replayed, ev.simulated, p.Reps, p.Reps)
+			ev.tot.Replayed, ev.tot.Simulated, p.Reps, p.Reps)
 	}
 	if _, err := ev.Score(Candidate{A: base.A, Rot: 0}); err != nil {
 		t.Fatal(err)
@@ -240,9 +240,9 @@ func TestReplaySkipsRotatingAndTraced(t *testing.T) {
 	if _, err := ev.explain("baseline", base, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ev.replayed != p.Reps || ev.simulated != 3*p.Reps {
+	if ev.tot.Replayed != p.Reps || ev.tot.Simulated != 3*p.Reps {
 		t.Fatalf("rotating candidate and explanation: %d replayed, %d simulated, want %d and %d",
-			ev.replayed, ev.simulated, p.Reps, 3*p.Reps)
+			ev.tot.Replayed, ev.tot.Simulated, p.Reps, 3*p.Reps)
 	}
 }
 
@@ -275,11 +275,11 @@ func TestReplayPanicQuarantinesPartlyReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Quarantined || ev.quarantined != 1 {
+	if !s.Quarantined || ev.tot.Quarantined != 1 {
 		t.Fatalf("partly replayed poisoned candidate not quarantined: %+v", s)
 	}
-	if ev.replayed == 0 || ev.replayed >= p.Reps {
-		t.Fatalf("poisoned candidate replayed %d of %d replications, want some", ev.replayed, p.Reps)
+	if ev.tot.Replayed == 0 || ev.tot.Replayed >= p.Reps {
+		t.Fatalf("poisoned candidate replayed %d of %d replications, want some", ev.tot.Replayed, p.Reps)
 	}
 }
 
@@ -319,9 +319,9 @@ func TestReplayDropsPanickingReference(t *testing.T) {
 			t.Fatalf("option %d: %d candidate replications simulated, want %d", i, n, (i+1)*p.Reps)
 		}
 	}
-	if !ev.ref.dropped || ev.replayed != 0 || ev.quarantined != 0 {
+	if !ev.ref.dropped || ev.tot.Replayed != 0 || ev.tot.Quarantined != 0 {
 		t.Fatalf("dropped %v, replayed %d, quarantined %d: want a dropped reference and nothing replayed or quarantined",
-			ev.ref.dropped, ev.replayed, ev.quarantined)
+			ev.ref.dropped, ev.tot.Replayed, ev.tot.Quarantined)
 	}
 	if n := refCalls.Load(); n == 0 || n > 3*int64(p.Reps) {
 		t.Fatalf("reference recording attempted %d replications, want one recording's retries", n)

@@ -44,8 +44,8 @@ func TestPanicQuarantinesCandidate(t *testing.T) {
 	if !s.Quarantined || s.Value != infeasibleValue {
 		t.Fatalf("poisoned candidate not quarantined: %+v", s)
 	}
-	if ev.quarantined != 1 {
-		t.Fatalf("quarantined counter = %d, want 1", ev.quarantined)
+	if ev.tot.Quarantined != 1 {
+		t.Fatalf("quarantined counter = %d, want 1", ev.tot.Quarantined)
 	}
 	// The workers' campaigns were torn down mid-panic; the next healthy
 	// candidate must rebuild and still score bit-identically to a fresh
@@ -118,8 +118,8 @@ func TestPanicRetryPreservesCRN(t *testing.T) {
 	if got != want {
 		t.Fatalf("transient panic changed the score:\n got %+v\nwant %+v", got, want)
 	}
-	if faulty.quarantined != 0 {
-		t.Fatalf("transient panic quarantined the candidate (counter %d)", faulty.quarantined)
+	if faulty.tot.Quarantined != 0 {
+		t.Fatalf("transient panic quarantined the candidate (counter %d)", faulty.tot.Quarantined)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestPanicIsolationSweep(t *testing.T) {
 			t.Fatalf("option %d: implausible healthy score %+v", i, s)
 		}
 	}
-	if quar == 0 || quar != ev.quarantined {
-		t.Fatalf("sweep quarantined %d candidates (counter %d), want a consistent nonzero count", quar, ev.quarantined)
+	if quar == 0 || quar != ev.tot.Quarantined {
+		t.Fatalf("sweep quarantined %d candidates (counter %d), want a consistent nonzero count", quar, ev.tot.Quarantined)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"diversify/internal/diversity"
 	"diversify/internal/malware"
 )
 
@@ -55,21 +56,28 @@ func (p *Problem) screenTop() int {
 // node's default (non-upgrades rank at or below zero). Purely
 // structural — no simulation — and deterministic for a given problem.
 func screenScores(p *Problem) []float64 {
-	nodes := p.Topo.Nodes()
 	crit := malware.CriticalityScores(p.Topo, p.Profile)
 	scores := make([]float64, len(p.Options))
 	for i, opt := range p.Options {
-		gain := 0.0
-		if def, ok := nodes[opt.Node].Component(opt.Class); ok {
-			dv, okD := p.Catalog.Variant(def)
-			nv, okN := p.Catalog.Variant(opt.Variant)
-			if okD && okN {
-				gain = nv.Resilience - dv.Resilience
-			}
-		}
-		scores[i] = crit[opt.Node] * gain
+		scores[i] = crit[opt.Node] * p.resilienceGain(opt)
 	}
 	return scores
+}
+
+// resilienceGain is the catalog resilience of opt's variant minus that
+// of the node's default for the class; 0 when the node has no such
+// component or either variant is unknown to the catalog.
+func (p *Problem) resilienceGain(opt diversity.Option) float64 {
+	def, ok := p.Topo.Nodes()[opt.Node].Component(opt.Class)
+	if !ok {
+		return 0
+	}
+	dv, okD := p.Catalog.Variant(def)
+	nv, okN := p.Catalog.Variant(opt.Variant)
+	if !okD || !okN {
+		return 0
+	}
+	return nv.Resilience - dv.Resilience
 }
 
 // screenOrder returns the option indices greedy may simulate, ranked by

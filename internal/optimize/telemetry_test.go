@@ -76,9 +76,25 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r.Strategy != "pareto" || r.Best != res.Best.Value {
 		t.Fatalf("header disagrees with Result: %+v vs best %v", r, res.Best.Value)
 	}
-	if r.Evaluations != res.Evaluations || r.CacheHits != res.CacheHits || r.Replications != res.Replications {
-		t.Fatalf("totals disagree with Result: report %d/%d/%d, result %d/%d/%d",
-			r.Evaluations, r.CacheHits, r.Replications, res.Evaluations, res.CacheHits, res.Replications)
+	// One ledger: the report, RunFinished and Stats carry the same
+	// value, and the Result's JSON counts read from it.
+	tot := res.Stats.Totals
+	if r.Totals != tot {
+		t.Fatalf("report totals %+v, Stats %+v", r.Totals, tot)
+	}
+	var finished []telemetry.RunFinished
+	for _, e := range rec.Events() {
+		if f, ok := e.(telemetry.RunFinished); ok {
+			finished = append(finished, f)
+		}
+	}
+	if len(finished) != 1 || finished[0].Totals != tot {
+		t.Fatalf("RunFinished events %+v, want one carrying %+v", finished, tot)
+	}
+	if res.Evaluations != tot.Evaluations || res.CacheMisses != tot.Evaluations ||
+		res.CacheHits != tot.CacheHits || res.Replications != tot.Replications {
+		t.Fatalf("Result counts %d/%d/%d/%d disagree with the ledger %+v",
+			res.Evaluations, res.CacheMisses, res.CacheHits, res.Replications, tot)
 	}
 	wantRatio := float64(r.CacheHits) / float64(r.CacheHits+r.Evaluations)
 	if r.CacheHitRatio < 0 || r.CacheHitRatio > 1 || math.Abs(r.CacheHitRatio-wantRatio) > 1e-12 {
@@ -117,11 +133,8 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if r.EvalLatency == nil || r.EvalLatency.Count != res.Evaluations+1 {
 		t.Fatalf("latency population %+v, want count %d", r.EvalLatency, res.Evaluations+1)
 	}
-	if r.Retries != res.Stats.Retries || r.Quarantined != res.Stats.Quarantined {
-		t.Fatalf("fault accounting disagrees with Stats")
-	}
 	// The batches bill every simulated and replayed replication, the
-	// reference recordings included, and the report carries Stats'.
+	// reference recordings included.
 	simulated, replayed := 0, 0
 	for _, e := range rec.Events() {
 		if b, ok := e.(telemetry.EvaluationBatch); ok {
@@ -129,10 +142,9 @@ func TestTelemetryReportConsistency(t *testing.T) {
 			replayed += b.Replayed
 		}
 	}
-	if simulated != res.Stats.Simulated || replayed != res.Stats.Replayed ||
-		r.SimulatedReplications != simulated || r.ReplayedReplications != replayed {
-		t.Fatalf("replication accounting: batches %d simulated / %d replayed, Stats %d / %d, report %d / %d",
-			simulated, replayed, res.Stats.Simulated, res.Stats.Replayed, r.SimulatedReplications, r.ReplayedReplications)
+	if simulated != tot.Simulated || replayed != tot.Replayed {
+		t.Fatalf("replication accounting: batches %d simulated / %d replayed, ledger %d / %d",
+			simulated, replayed, tot.Simulated, tot.Replayed)
 	}
 	if replayed == 0 {
 		t.Fatal("pareto's greedy seeding replayed nothing")

@@ -16,27 +16,12 @@ type Report struct {
 	Degraded       string  `json:"degraded,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 
-	// Evaluation accounting. Evaluations = scored candidates (cache
-	// misses); CacheHitRatio = hits / lookups; WarmStartRatio = the
-	// fraction of evaluations served from the durable store instead of
-	// fresh simulation.
-	Evaluations    int     `json:"evaluations"`
-	CacheHits      int     `json:"cache_hits"`
+	// The run's ledger. CacheHitRatio = hits / lookups; WarmStartRatio
+	// = the fraction of evaluations served from the durable store
+	// instead of fresh simulation.
+	Totals
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	StoreHits      int     `json:"store_hits"`
-	StorePuts      int     `json:"store_puts"`
-	WarmStarted    int     `json:"warm_started"`
 	WarmStartRatio float64 `json:"warm_start_ratio"`
-	Replications   int     `json:"replications"`
-	// SimulatedReplications / ReplayedReplications split the work the
-	// run actually did: replications simulated, and replications copied
-	// from a reference candidate instead.
-	SimulatedReplications int `json:"simulated_replications"`
-	ReplayedReplications  int `json:"replayed_replications"`
-
-	// Fault tolerance.
-	Retries     int `json:"retries"`
-	Quarantined int `json:"quarantined"`
 
 	// Explanations counts the causal trace reports the run produced
 	// (zero unless TraceSample was set).
@@ -151,15 +136,7 @@ func (c *Collector) Emit(e Event) {
 		c.report.Best = ev.Best
 		c.report.Degraded = ev.Degraded
 		c.report.ElapsedSeconds = ev.Elapsed.Seconds()
-		c.report.Evaluations = ev.Evaluations
-		c.report.CacheHits = ev.CacheHits
-		c.report.StoreHits = ev.StoreHits
-		c.report.StorePuts = ev.StorePuts
-		c.report.Replications = ev.Replications
-		c.report.SimulatedReplications = ev.Simulated
-		c.report.ReplayedReplications = ev.Replayed
-		c.report.Retries = ev.Retries
-		c.report.Quarantined = ev.Quarantined
+		c.report.Totals = ev.Totals
 		if c.reg != nil {
 			c.reg.Gauge("diversify_run_elapsed_seconds", "run wall time").Set(ev.Elapsed.Seconds())
 			c.reg.Gauge("diversify_best_value", "final best objective value").Set(ev.Best)
@@ -181,9 +158,8 @@ func (c *Collector) Report() *Report {
 	}
 	// Warm starts: evaluations that cost no fresh simulation — the
 	// durable-store serves.
-	r.WarmStarted = r.StoreHits
 	if r.Evaluations > 0 {
-		ws := r.WarmStarted
+		ws := r.StoreHits
 		if ws > r.Evaluations {
 			ws = r.Evaluations
 		}

@@ -23,13 +23,12 @@ func TestCollectorReport(t *testing.T) {
 	c.Emit(EvaluationBatch{Duration: 30 * time.Millisecond, Replications: 4})
 	c.Emit(EvaluationBatch{FromStore: true})
 	c.Emit(WorkerQuarantined{Worker: 1, Replication: 3, Attempts: 3, Cause: "boom"})
-	c.Emit(RunFinished{
-		Strategy: "portfolio", Best: 0.4, Evaluations: 40, CacheHits: 60,
-		StoreHits: 10, StorePuts: 30, Replications: 160,
-		Simulated: 72, Replayed: 56,
+	tot := Totals{
+		Evaluations: 40, CacheHits: 60, Replications: 160,
+		StoreHits: 10, StorePuts: 30, Simulated: 72, Replayed: 56,
 		Retries: 2, Quarantined: 1,
-		Elapsed: 500 * time.Millisecond,
-	})
+	}
+	c.Emit(RunFinished{Strategy: "portfolio", Best: 0.4, Totals: tot, Elapsed: 500 * time.Millisecond})
 
 	r := c.Report()
 	if r.Strategy != "portfolio" || r.Best != 0.4 {
@@ -50,14 +49,11 @@ func TestCollectorReport(t *testing.T) {
 	if math.Abs(r.CacheHitRatio-0.6) > 1e-9 {
 		t.Fatalf("cache hit ratio = %v, want 0.6", r.CacheHitRatio)
 	}
-	if r.WarmStarted != 10 || math.Abs(r.WarmStartRatio-0.25) > 1e-9 {
-		t.Fatalf("warm start: %d / %v, want 10 / 0.25", r.WarmStarted, r.WarmStartRatio)
+	if math.Abs(r.WarmStartRatio-0.25) > 1e-9 {
+		t.Fatalf("warm start ratio = %v, want 0.25", r.WarmStartRatio)
 	}
-	if r.Retries != 2 || r.Quarantined != 1 {
-		t.Fatalf("fault accounting: %+v", r)
-	}
-	if r.SimulatedReplications != 72 || r.ReplayedReplications != 56 || r.Replications != 160 {
-		t.Fatalf("replication accounting: %d simulated, %d replayed, %d logical", r.SimulatedReplications, r.ReplayedReplications, r.Replications)
+	if r.Totals != tot {
+		t.Fatalf("totals = %+v, want %+v", r.Totals, tot)
 	}
 	// Latency over the two simulated batches only (store serve excluded).
 	if r.EvalLatency == nil || r.EvalLatency.Count != 2 {

@@ -84,8 +84,8 @@ func (RoundCompleted) Kind() string { return "round_completed" }
 // EvaluationBatch reports one simulated candidate: a batch of
 // replications fanned across the worker pool (or a single durable-store
 // serve). Cache hits emit no event of their own — the cumulative
-// counters carried here and on RoundCompleted keep the split visible
-// without a ~400 ns event per memoized lookup.
+// counters on RoundCompleted keep the split visible without a ~400 ns
+// event per memoized lookup.
 type EvaluationBatch struct {
 	Fingerprint uint64
 	// Replications counts the replications simulated for this candidate,
@@ -99,10 +99,6 @@ type EvaluationBatch struct {
 	// Duration is the wall time of this batch's simulation (0 for
 	// store serves).
 	Duration time.Duration
-	// Cumulative evaluator counters after this batch.
-	Evaluations int
-	CacheHits   int
-	StoreHits   int
 }
 
 // Kind implements Event.
@@ -154,31 +150,39 @@ type ExplanationReady struct {
 // Kind implements Event.
 func (ExplanationReady) Kind() string { return "explanation_ready" }
 
+// Totals is a run's ledger, counted once by the evaluator and carried
+// whole by RunFinished, the run Report and optimize.RunStats.
+type Totals struct {
+	// Logical counts, identical for a clean and a store-resumed run:
+	// Evaluations is the distinct candidates the search scored, simulated
+	// or store-served (== cache misses), CacheHits the remaining Score
+	// calls, and Replications is Evaluations × reps. The random baseline
+	// is not billed.
+	Evaluations  int `json:"evaluations"`
+	CacheHits    int `json:"cache_hits"`
+	Replications int `json:"replications"`
+	// Effort counts: what this run actually did, the random baseline and
+	// explanation replays included. StoreHits / StorePuts are durable
+	// store traffic, quarantine tombstones included; Simulated counts the
+	// replications run and Replayed the ones copied from a reference
+	// candidate (a store-served run simulates nothing); Retries counts
+	// panicked replication attempts and Quarantined the candidates scored
+	// infeasible after them.
+	StoreHits   int `json:"store_hits"`
+	StorePuts   int `json:"store_puts"`
+	Simulated   int `json:"simulated_replications"`
+	Replayed    int `json:"replayed_replications"`
+	Retries     int `json:"retries"`
+	Quarantined int `json:"quarantined"`
+}
+
 // RunFinished closes the stream with the authoritative run totals —
-// the same accounting the Result reports, so a collector's report sums
+// the same ledger the Result reports, so a collector's report sums
 // consistently with the returned Result by construction.
 type RunFinished struct {
 	Strategy string
 	Best     float64
-	// Evaluations counts the distinct candidates the search scored,
-	// simulated or store-served (== cache misses); Replications is
-	// Evaluations × reps. Both are logical counts: a store-resumed run
-	// reports the uninterrupted run's numbers.
-	Evaluations  int
-	CacheHits    int
-	StoreHits    int
-	StorePuts    int
-	Replications int
-	// Simulated counts the replications the run actually simulated and
-	// Replayed the ones copied from a reference candidate; unlike
-	// Replications they are effort, not logical counts (a store-served
-	// run simulates nothing).
-	Simulated int
-	Replayed  int
-	// Fault-tolerance accounting: replication retry attempts and
-	// quarantined candidates.
-	Retries     int
-	Quarantined int
+	Totals
 	// Degraded is empty for a completed run, else the interruption
 	// reason.
 	Degraded string

@@ -80,7 +80,7 @@ func TestProgressNotices(t *testing.T) {
 	p.Emit(StoreWarmStart{Path: "evals.store", Evaluations: 9})
 	p.Emit(RoundCompleted{Strategy: "greedy", Round: 0, Incumbent: 0.5})
 	p.Emit(WorkerQuarantined{Worker: 2, Replication: 7, Attempts: 3, Cause: "boom"})
-	p.Emit(RunFinished{Strategy: "greedy", StoreHits: 4, StorePuts: 5, Quarantined: 1, Retries: 2})
+	p.Emit(RunFinished{Strategy: "greedy", Totals: Totals{StoreHits: 4, StorePuts: 5, Quarantined: 1, Retries: 2}})
 	out := sb.String()
 	for _, want := range []string{
 		"optimize: evaluation store evals.store: 4 hits, 5 new measurements\n",
@@ -116,7 +116,7 @@ func TestProgressTickerRateLimit(t *testing.T) {
 	// After the interval passes a steady-state round prints again.
 	clock = clock.Add(time.Second)
 	p.Emit(RoundCompleted{Strategy: "anneal", Round: 4, Incumbent: 0.4, Value: 0.7})
-	p.Emit(RunFinished{Strategy: "anneal", Best: 0.4, Evaluations: 5, Simulated: 12, Replayed: 8})
+	p.Emit(RunFinished{Strategy: "anneal", Best: 0.4, Totals: Totals{Evaluations: 5, Simulated: 12, Replayed: 8}})
 	out := sb.String()
 	for _, want := range []string{"round 0", "round 3", "round 4", "anneal] done", "12 replications simulated, 8 replayed"} {
 		if !strings.Contains(out, want) {

@@ -48,17 +48,6 @@ func DefaultTieredSpec() TieredSCADASpec {
 	}
 }
 
-// historianOr resolves a historian variant, falling back to the catalog
-// default so zero-valued specs predating the DefaultHistorian field keep
-// building valid topologies (an empty VariantID would fail
-// ValidateComponents). Shared by every generator.
-func historianOr(v exploits.VariantID) exploits.VariantID {
-	if v != "" {
-		return v
-	}
-	return exploits.HistPI
-}
-
 // NewTieredSCADA builds the three-zone topology:
 //
 //	corporate zone: CorporatePCs on a LAN, plus sneakernet edges into the
@@ -107,7 +96,7 @@ func NewTieredSCADA(spec TieredSCADASpec) *Topology {
 	}
 	historian := t.AddNode("historian", KindHistorian, ZoneControl,
 		comp(spec.DefaultOS, map[exploits.Class]exploits.VariantID{
-			exploits.ClassHistorian: historianOr(spec.DefaultHistorian),
+			exploits.ClassHistorian: spec.DefaultHistorian,
 		}))
 
 	// Control LAN is a star around the historian (a common pattern: the
@@ -217,7 +206,7 @@ func NewPowerGrid(spec PowerGridSpec) *Topology {
 		exploits.ClassProtocol:    spec.DefaultProtocol,
 	}))
 	hist := t.AddNode("cc-historian", KindHistorian, ZoneControl, os(map[exploits.Class]exploits.VariantID{
-		exploits.ClassHistorian: historianOr(spec.DefaultHistorian),
+		exploits.ClassHistorian: spec.DefaultHistorian,
 	}))
 	eng := t.AddNode("cc-eng", KindEngWorkstation, ZoneControl, os(map[exploits.Class]exploits.VariantID{
 		exploits.ClassEngTools: exploits.EngUnityPro,

@@ -203,9 +203,10 @@ func TestExplainDeterministic(t *testing.T) {
 }
 
 func TestExplainCapsAndDefaults(t *testing.T) {
-	// 30 distinct single-node chains → default TopPaths keeps 10.
+	// 40 distinct single-node chains → default TopPaths keeps 10, the
+	// choke-point cap 24 and the chronology cap 64 of 80 events.
 	var tr Trace
-	for i := int32(0); i < 30; i++ {
+	for i := int32(0); i < 40; i++ {
 		tr.Records = append(tr.Records,
 			Record{T: float64(i), Kind: KindSeed, Node: i, Parent: -1},
 			Record{T: float64(i), Kind: KindInfected, Node: i, Parent: -1},
@@ -214,14 +215,14 @@ func TestExplainCapsAndDefaults(t *testing.T) {
 			Record{T: float64(i), Kind: KindReinfect, Node: i},
 		)
 	}
-	ex := Explain([]Trace{tr}, ExplainOpts{Replications: 1, MaxChronology: 5})
-	if len(ex.Paths) != 10 || ex.MorePaths != 20 {
+	ex := Explain([]Trace{tr}, ExplainOpts{Replications: 1})
+	if len(ex.Paths) != 10 || ex.MorePaths != 30 {
 		t.Fatalf("path cap: %d shown, %d more", len(ex.Paths), ex.MorePaths)
 	}
-	if len(ex.ChokePoints) != 24 || ex.MoreChokePoints != 6 {
+	if len(ex.ChokePoints) != 24 || ex.MoreChokePoints != 16 {
 		t.Fatalf("choke cap: %d shown, %d more", len(ex.ChokePoints), ex.MoreChokePoints)
 	}
-	if len(ex.RotationChurn.Chronology) != 5 || ex.RotationChurn.Truncated != 55 {
+	if len(ex.RotationChurn.Chronology) != 64 || ex.RotationChurn.Truncated != 16 {
 		t.Fatalf("chronology cap: %d shown, %d truncated", len(ex.RotationChurn.Chronology), ex.RotationChurn.Truncated)
 	}
 	// Default node naming.
